@@ -10,7 +10,6 @@ package unimem_test
 
 import (
 	"context"
-
 	"strconv"
 	"strings"
 	"testing"
@@ -127,9 +126,11 @@ func BenchmarkRuntimeDecision(b *testing.B) {
 	w := unimem.NewNek5000("C", 4)
 	cp := *w
 	cp.Iterations = 2 // profile + decide, minimal enforcement
+	sess := unimem.New(m, unimem.WithConfig(cfg))
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := unimem.Run(&cp, m, cfg); err != nil {
+		if _, err := sess.Run(ctx, &cp, unimem.Unimem()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -147,20 +148,21 @@ func BenchmarkMigrationPath(b *testing.B) {
 	app.ComputePhase("sweep", 5e6, unimem.Stream("a", 1e6, 0.5))
 	app.CommPhase("sync", unimem.Barrier, 0, 0)
 	w := app.Build()
+	sess := unimem.New(m, unimem.WithConfig(cfg))
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := unimem.Run(w, m, cfg); err != nil {
+		if _, err := sess.Run(ctx, w, unimem.Unimem()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkSessionReuse quantifies the session satellite of the API
-// redesign: before PR 4, every Run/RunOpts call on a config without a
-// pre-installed Calibration re-measured the platform (once per rank, per
-// call). A Session memoizes the measurement, so repeated runs pay it
-// once. "recalibrate" reproduces the old per-call cost explicitly;
-// "session" is the new default path shared by the legacy wrappers.
+// BenchmarkSessionReuse quantifies calibration memoization: a Session
+// measures its platform once, so repeated runs pay the measurement once.
+// "recalibrate-every-run" pays it per run explicitly by installing a
+// fresh Calibration in every job's Config; "session-reuse" is the
+// default path.
 func BenchmarkSessionReuse(b *testing.B) {
 	m := unimem.PlatformA().WithNVMBandwidthFraction(0.5)
 	app := unimem.NewApp("reuse", 1, 2)
@@ -171,10 +173,12 @@ func BenchmarkSessionReuse(b *testing.B) {
 	ctx := context.Background()
 
 	b.Run("recalibrate-every-run", func(b *testing.B) {
+		sess := unimem.New(m)
 		for i := 0; i < b.N; i++ {
 			cfg := unimem.DefaultConfig()
-			cfg.Calibration = unimem.Calibrate(m) // PR 1-3 behavior: per-call measurement
-			if _, _, err := unimem.Run(w, m, cfg); err != nil {
+			cfg.Calibration = unimem.Calibrate(m)
+			job := unimem.Job{Workload: w, Strategy: unimem.Unimem(), Config: &cfg}
+			if _, err := sess.RunJob(ctx, job); err != nil {
 				b.Fatal(err)
 			}
 		}

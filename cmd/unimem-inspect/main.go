@@ -193,8 +193,8 @@ func main() {
 	// Fast-path timeline: skips are unanimous across ranks, so one line
 	// describes the whole world.
 	if fp := uniOut.FastPath; fp.SimulatedIters+fp.AnalyticIters > 0 {
-		fmt.Printf("fastpath: %d iterations simulated, %d analytic  memo %d hits / %d misses",
-			fp.SimulatedIters, fp.AnalyticIters, fp.MemoHits, fp.MemoMisses)
+		fmt.Printf("fastpath: %d iterations simulated, %d analytic",
+			fp.SimulatedIters, fp.AnalyticIters)
 		for _, ff := range uniOut.Explain.FastForwards {
 			fmt.Printf("  ff@[%d-%d]", ff.EntryIter, ff.ExitIter)
 		}

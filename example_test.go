@@ -1,6 +1,7 @@
 package unimem_test
 
 import (
+	"context"
 	"fmt"
 
 	"unimem"
@@ -27,18 +28,17 @@ func Example() {
 	app.CommPhase("residual", unimem.Allreduce, 64, 1e6)
 	w := app.Build()
 
-	cfg := unimem.DefaultConfig()
-	cfg.Calibration = unimem.Calibrate(m)
-
-	dram, _ := unimem.RunDRAMOnly(w, m)
-	nvm, _ := unimem.RunNVMOnly(w, m)
-	uni, rts, _ := unimem.Run(w, m, cfg)
+	sess := unimem.New(m)
+	ctx := context.Background()
+	dram, _ := sess.Run(ctx, w, unimem.DRAMOnly())
+	nvm, _ := sess.Run(ctx, w, unimem.SlowestOnly())
+	uni, _ := sess.Run(ctx, w, unimem.Unimem())
 
 	fmt.Printf("nvm-only is %.1fx of dram-only\n",
-		float64(nvm.TimeNS)/float64(dram.TimeNS))
+		float64(nvm.Result.TimeNS)/float64(dram.Result.TimeNS))
 	fmt.Printf("unimem   is %.1fx of dram-only\n",
-		float64(uni.TimeNS)/float64(dram.TimeNS))
-	fmt.Printf("placement: %v\n", rts[0].DRAMResidents())
+		float64(uni.Result.TimeNS)/float64(dram.Result.TimeNS))
+	fmt.Printf("placement: %v\n", uni.Runtimes[0].DRAMResidents())
 	// Output:
 	// nvm-only is 1.6x of dram-only
 	// unimem   is 1.0x of dram-only

@@ -95,8 +95,8 @@ type Options struct {
 	// and benchmarking.
 	ExactSim bool
 	// FastPath, when non-nil, receives the run's fast-path statistics
-	// (memo hits, simulated vs analytically skipped iterations). Never
-	// affects results; excluded from run-cache keys.
+	// (simulated vs analytically skipped iterations, fast-forward
+	// episodes). Never affects results; excluded from run-cache keys.
 	FastPath *FastPathStats
 }
 
@@ -213,6 +213,13 @@ func RunCtx(ctx context.Context, w *workloads.Workload, m *machine.Machine, opts
 	res.PhaseNS = make([]float64, len(w.Phases))
 	phaseCount := make([]int64, len(w.Phases))
 	errs := make([]error, opts.Ranks)
+	// The fast path bounds its stable windows by content epochs. Derive
+	// them once per run when the workload declares none, and share the
+	// slice across ranks; concurrent runs share w, so it is not mutated.
+	epochs := w.ContentEpochs
+	if epochs == nil && !opts.ExactSim {
+		epochs = w.ComputeContentEpochs()
+	}
 
 	world.Run(func(c *mpisim.Comm) {
 		rank := c.Rank()
@@ -264,7 +271,7 @@ func RunCtx(ctx context.Context, w *workloads.Workload, m *machine.Machine, opts
 		// The fast-path tracker is nil when the run opts out or the manager
 		// is not a FastPather — both rank-independent, so either every rank
 		// polls at each eligible iteration start or none does.
-		fp := newFastPath(rc, mgr, &opts, res.PhaseNS, phaseCount)
+		fp := newFastPath(rc, mgr, &opts, epochs, res.PhaseNS, phaseCount)
 		for iter := 0; iter < w.Iterations; {
 			if fp != nil && iter >= fastPathMinIter {
 				if n := fp.trySkip(c, iter); n > 0 {

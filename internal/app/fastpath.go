@@ -1,30 +1,30 @@
 package app
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"unimem/internal/counters"
-	"unimem/internal/machine"
 	"unimem/internal/mpisim"
 	"unimem/internal/obs"
 	"unimem/internal/phase"
 	"unimem/internal/workloads"
 )
 
-// This file is the harness half of the analytic fast path: per-rank
-// phase-outcome memoization (content x placement x machine keys into
-// phase.Memo) and steady-state fast-forward. When every rank votes — in
-// lockstep, through the simulator's zero-cost Poll rendezvous — that its
-// manager is quiescent, its phase keys have been stable for K iterations
-// and its last two iteration clock deltas are equal, and all ranks'
-// deltas agree, the remaining iterations of the stable window (bounded
-// by a rank-independent forward scan over workload content keys) are
-// skipped: clocks, CommNS, per-phase means and manager bookkeeping are
-// advanced analytically in one step. Soundness: at a unanimous iteration
-// boundary every inbox is empty and the run heap is quiescent, so with
-// equal per-rank advances the relative clock offsets — the only
-// cross-rank state — are preserved, and a skipped iteration would have
-// replayed the previous one exactly, event for event.
+// This file is the harness half of the analytic fast path: steady-state
+// fast-forward. Each rank tracks, per phase position, how many
+// consecutive iterations presented the same (content x placement) key.
+// When every rank votes — in lockstep, through the simulator's zero-cost
+// Poll rendezvous — that its manager is quiescent, its keys have been
+// stable for K iterations and its last two iteration clock deltas are
+// equal, and all ranks' deltas agree, the remaining iterations of the
+// stable window (bounded by the workload's content epochs, shared by
+// every rank) are skipped: clocks, CommNS, per-phase means and manager
+// bookkeeping are advanced analytically in one step. Soundness: at a
+// unanimous iteration boundary every inbox is empty and the run heap is
+// quiescent, so with equal per-rank advances the relative clock offsets
+// — the only cross-rank state — are preserved, and a skipped iteration
+// would have replayed the previous one exactly, event for event.
 
 // Fast-path engagement thresholds: polls begin once enough iterations
 // have completed to compare two consecutive clock deltas, and a window
@@ -50,26 +50,21 @@ type FastPather interface {
 	FastForward(n int)
 }
 
-// FastPathStats summarizes the analytic fast path's work in one run.
-// Memo counters aggregate across all ranks; the iteration counters are
-// rank 0's view (skips are unanimous, so every rank's counts agree).
-// All zeros when the fast path was disabled or never engaged.
+// FastPathStats summarizes the analytic fast path's work in one run, from
+// rank 0's view (skips are unanimous, so every rank's counts agree). All
+// zeros when the fast path was disabled or never engaged.
 type FastPathStats struct {
-	MemoHits       int64 `json:"memo_hits"`
-	MemoMisses     int64 `json:"memo_misses"`
 	SimulatedIters int64 `json:"simulated_iters"`
 	AnalyticIters  int64 `json:"analytic_iters"`
 	FastForwards   int64 `json:"fastforwards"`
 }
 
-// add accumulates o into s; rank coroutines flush concurrently at rank
-// end, so the adds are atomic. Safe on a nil receiver.
+// add accumulates o into s; concurrent runs flush into the process
+// totals, so the adds are atomic. Safe on a nil receiver.
 func (s *FastPathStats) add(o FastPathStats) {
 	if s == nil {
 		return
 	}
-	atomic.AddInt64(&s.MemoHits, o.MemoHits)
-	atomic.AddInt64(&s.MemoMisses, o.MemoMisses)
 	atomic.AddInt64(&s.SimulatedIters, o.SimulatedIters)
 	atomic.AddInt64(&s.AnalyticIters, o.AnalyticIters)
 	atomic.AddInt64(&s.FastForwards, o.FastForwards)
@@ -84,8 +79,6 @@ var fpTotals FastPathStats
 // totals.
 func ReadFastPathTotals() FastPathStats {
 	return FastPathStats{
-		MemoHits:       atomic.LoadInt64(&fpTotals.MemoHits),
-		MemoMisses:     atomic.LoadInt64(&fpTotals.MemoMisses),
 		SimulatedIters: atomic.LoadInt64(&fpTotals.SimulatedIters),
 		AnalyticIters:  atomic.LoadInt64(&fpTotals.AnalyticIters),
 		FastForwards:   atomic.LoadInt64(&fpTotals.FastForwards),
@@ -97,16 +90,18 @@ func ReadFastPathTotals() FastPathStats {
 // rank-independent facts, so either every rank tracks or none does and
 // the Poll counts stay matched.
 type fastPath struct {
-	rc   *RankCtx
-	mgr  FastPather
-	memo *phase.Memo
-	// base is the key digest pre-seeded with the machine fingerprint.
-	base phase.Digest
+	rc     *RankCtx
+	mgr    FastPather
+	epochs []int // the workload's content epochs, shared by every rank
 
 	// Last simulated iteration's per-position content keys and measured
 	// durations — the extrapolation template for skipped iterations.
 	lastContent []phase.Key
 	lastDur     []float64
+	// Per-position streaks: the last (content x placement) key and how
+	// many consecutive simulated iterations presented it.
+	lastKey []phase.Key
+	streak  []int
 	// Rank 0 only: the run's per-phase accumulators, extrapolated by
 	// repeated addition so a skipped window contributes the exact float
 	// sums simulation would have.
@@ -130,8 +125,9 @@ type fastPath struct {
 }
 
 // newFastPath returns the rank's tracker, or nil when the fast path is
-// off for this run.
-func newFastPath(rc *RankCtx, mgr Manager, opts *Options, phaseNS []float64, phaseCount []int64) *fastPath {
+// off for this run. epochs must list every iteration at which some
+// phase's content key changes (Workload.ComputeContentEpochs).
+func newFastPath(rc *RankCtx, mgr Manager, opts *Options, epochs []int, phaseNS []float64, phaseCount []int64) *fastPath {
 	if opts.ExactSim {
 		return nil
 	}
@@ -143,35 +139,16 @@ func newFastPath(rc *RankCtx, mgr Manager, opts *Options, phaseNS []float64, pha
 	fp := &fastPath{
 		rc:          rc,
 		mgr:         fpm,
-		memo:        phase.NewMemo(),
-		base:        machineDigest(rc.Mach),
+		epochs:      epochs,
 		lastContent: make([]phase.Key, n),
 		lastDur:     make([]float64, n),
+		lastKey:     make([]phase.Key, n),
+		streak:      make([]int, n),
 	}
 	if rc.Rank == 0 {
 		fp.phaseNS, fp.phaseCount = phaseNS, phaseCount
 	}
 	return fp
-}
-
-// machineDigest folds the platform description once per rank; it seeds
-// every phase key so memoized outcomes are canonical per (content,
-// placement, machine) even though a single run never mixes machines.
-func machineDigest(m *machine.Machine) phase.Digest {
-	d := phase.NewDigest().String(m.Name).Int(len(m.Tiers))
-	for _, t := range m.Tiers {
-		d = d.String(t.Name).
-			Float64(t.ReadLatNS).
-			Float64(t.WriteLatNS).
-			Float64(t.BandwidthBps).
-			Int64(t.CapacityBytes)
-	}
-	return d.Float64(m.CopyBandwidthBps).
-		Float64(m.CPUFreqHz).
-		Float64(m.FlopsPerSec).
-		Int64(m.SampleIntervalCycles).
-		Float64(m.NetLatencyNS).
-		Float64(m.NetBandwidthBps)
 }
 
 // beginIter snapshots the rank's clocks at a simulated iteration's start
@@ -186,13 +163,14 @@ func (fp *fastPath) beginIter(c *mpisim.Comm) {
 	}
 }
 
-// observePhase keys one simulated phase execution into the memo: the
-// workload content key folded with the placement-expanded traffic (chunk
-// identity, accesses and tier-priced service time) over the machine
-// fingerprint, valued by the measured duration.
+// observePhase records one simulated phase execution: the workload
+// content key folded with the placement-expanded traffic (chunk
+// identity, accesses and tier-priced service time) extends or resets the
+// position's streak, and the content key and measured duration become
+// the position's extrapolation template.
 func (fp *fastPath) observePhase(pi int, ph *workloads.Phase, iter int, durNS float64, traffic []counters.ChunkTraffic) {
 	ck := ph.ContentKey(iter)
-	d := fp.base.Int(pi).Uint64(uint64(ck))
+	d := phase.NewDigest().Uint64(uint64(ck))
 	for _, t := range traffic {
 		d = d.String(t.Chunk).
 			Int64(t.Accesses).
@@ -200,9 +178,29 @@ func (fp *fastPath) observePhase(pi int, ph *workloads.Phase, iter int, durNS fl
 			Float64(t.ReadFrac).
 			Int(int(t.Pattern))
 	}
-	fp.memo.Observe(pi, d.Key(), durNS)
+	fp.observe(pi, d.Key())
 	fp.lastContent[pi] = ck
 	fp.lastDur[pi] = durNS
+}
+
+// observe extends position pi's streak when key repeats its last key and
+// restarts it at 1 otherwise.
+func (fp *fastPath) observe(pi int, key phase.Key) {
+	if fp.lastKey[pi] == key {
+		fp.streak[pi]++
+	} else {
+		fp.lastKey[pi], fp.streak[pi] = key, 1
+	}
+}
+
+// stableIters returns the number of consecutive simulated iterations over
+// which every phase position re-presented the same key: the minimum
+// streak across positions (0 before any observation).
+func (fp *fastPath) stableIters() int {
+	if len(fp.streak) == 0 {
+		return 0
+	}
+	return slices.Min(fp.streak)
 }
 
 // endIter closes a simulated iteration, rolling the delta history.
@@ -223,50 +221,29 @@ func (fp *fastPath) steady() bool {
 	return fp.simIters >= fastPathMinIter &&
 		fp.steadyIters >= 2 &&
 		fp.mgr.SteadyState() &&
-		fp.memo.StableIters() >= fastPathStableIters &&
+		fp.stableIters() >= fastPathStableIters &&
 		fp.lastIterDelta > 0 &&
 		fp.lastIterDelta == fp.prevIterDelta &&
 		fp.lastCommDelta == fp.prevCommDelta
 }
 
 // scan returns how many consecutive iterations starting at iter present
-// exactly the last simulated iteration's content. It reads only
-// rank-independent workload ground truth, so every rank computes the
-// same bound without further coordination. Workloads that declare their
-// content epochs get an O(#epochs) bound; otherwise every candidate
-// iteration's keys are verified individually.
+// exactly the last simulated iteration's content: 0 unless iter itself
+// matches the template, else up to the first content epoch past iter. It
+// reads only rank-independent workload ground truth, so every rank
+// computes the same bound without further coordination.
 func (fp *fastPath) scan(iter int) int {
 	w := fp.rc.W
-	if w.ContentEpochs != nil {
-		// The window must match the template (the last simulated
-		// iteration): verify iter itself, then extend to the declared
-		// window's end — the first epoch boundary past iter.
-		for pi := range w.Phases {
-			if w.Phases[pi].ContentKey(iter) != fp.lastContent[pi] {
-				return 0
-			}
+	for pi := range w.Phases {
+		if w.Phases[pi].ContentKey(iter) != fp.lastContent[pi] {
+			return 0
 		}
-		end := w.Iterations
-		for _, e := range w.ContentEpochs {
-			if e > iter {
-				if e < end {
-					end = e
-				}
-				break
-			}
-		}
-		return end - iter
 	}
-	n := 0
-	for j := iter; j < w.Iterations; j++ {
-		for pi := range w.Phases {
-			if w.Phases[pi].ContentKey(j) != fp.lastContent[pi] {
-				return n
-			}
-		}
-		n++
+	end := w.Iterations
+	if i, _ := slices.BinarySearch(fp.epochs, iter+1); i < len(fp.epochs) {
+		end = min(end, fp.epochs[i])
 	}
-	return n
+	return end - iter
 }
 
 // trySkip runs the lockstep skip protocol at an iteration start: poll
@@ -307,16 +284,12 @@ func (fp *fastPath) trySkip(c *mpisim.Comm, iter int) int {
 	return n
 }
 
-// flush publishes the rank's counters into the caller's sink and the
-// process totals. Memo counters flow from every rank; the iteration
-// counters only from rank 0, whose view all ranks share.
+// flush publishes rank 0's counters, which every rank shares, into the
+// caller's sink and the process totals.
 func (fp *fastPath) flush(sink *FastPathStats) {
-	out := FastPathStats{MemoHits: fp.memo.Hits(), MemoMisses: fp.memo.Misses()}
-	if fp.rc.Rank == 0 {
-		out.SimulatedIters = fp.stats.SimulatedIters
-		out.AnalyticIters = fp.stats.AnalyticIters
-		out.FastForwards = fp.stats.FastForwards
+	if fp.rc.Rank != 0 {
+		return
 	}
-	sink.add(out)
-	fpTotals.add(out)
+	sink.add(fp.stats)
+	fpTotals.add(fp.stats)
 }

@@ -97,9 +97,8 @@ func keyFor(w *workloads.Workload, m *machine.Machine, strategy string, opts app
 	}
 }
 
-// Fingerprint exposes the machine performance fingerprint to the public
-// Session layer and the serve pool (legacy-wrapper sessions and served
-// sessions both shard on it).
+// Fingerprint exposes the machine performance fingerprint to the serve
+// pool, which shards sessions on it.
 func Fingerprint(m *machine.Machine) string { return machineFingerprint(m) }
 
 // machineFingerprint renders every Machine parameter that influences

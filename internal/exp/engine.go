@@ -165,10 +165,10 @@ type ExecInfo struct {
 	// in-flight) cache entry rather than a fresh execution. Always false
 	// for the Unimem strategy, which never caches.
 	CacheHit bool
-	// FastPath reports the analytic fast path's memo and fast-forward
-	// counters for this execution. All zeros when the run was served from
-	// the cache (nothing executed), the strategy's manager cannot
-	// fast-forward, or the run opted out via Options.ExactSim.
+	// FastPath reports the analytic fast path's iteration and
+	// fast-forward counters for this execution. All zeros when the run
+	// was served from the cache (nothing executed), the strategy's manager
+	// cannot fast-forward, or the run opted out via Options.ExactSim.
 	FastPath app.FastPathStats
 }
 
@@ -216,8 +216,7 @@ func (e *Engine) ExecuteInfo(ctx context.Context, w *workloads.Workload, m *mach
 			opts.Explain.Finish(w.Name, m.Name, st.cacheKey(), res.TimeNS, w.Iterations)
 		}
 		// Runtimes are returned even on error: the already-created per-rank
-		// instances are the debugging handle a failed run leaves behind
-		// (and what the legacy wrappers always exposed).
+		// instances are the debugging handle a failed run leaves behind.
 		return res, col.byRank(), info, err
 	}
 

@@ -37,7 +37,6 @@ type FastpathBenchCell struct {
 	// AnalyticFrac is the fraction of iterations the fast run skipped
 	// analytically (from the run's FastPathStats).
 	AnalyticFrac float64 `json:"analytic_frac"`
-	MemoHits     int64   `json:"memo_hits"`
 	// Identical reports the differential verdict: the two results are
 	// deeply equal.
 	Identical bool `json:"identical"`
@@ -141,7 +140,6 @@ func RunFastpathBench(quick bool, logf func(string, ...interface{})) (*FastpathB
 			Trials:     trials,
 			ExactNS:    medianNS(exactNS),
 			FastNS:     medianNS(fastNS),
-			MemoHits:   fpStats.MemoHits,
 			Identical:  reflect.DeepEqual(exactRes, fastRes),
 		}
 		if cell.FastNS > 0 {

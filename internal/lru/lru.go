@@ -1,9 +1,9 @@
-// Package lru is a minimal keyed least-recently-used table shared by the
-// bounded session registries (the legacy default-session table and the
-// serve layer's session pool). It is deliberately not concurrency-safe —
-// both callers already hold their own mutex — and deliberately not used
-// by the run cache's shards, whose eviction must skip in-flight entries
-// and account bytes (see exp.RunCache.evictLocked).
+// Package lru is a minimal keyed least-recently-used table behind the
+// serve layer's bounded session pool. It is deliberately not
+// concurrency-safe — the pool already holds its own mutex — and
+// deliberately not used by the run cache's shards, whose eviction must
+// skip in-flight entries and account bytes (see
+// exp.RunCache.evictLocked).
 package lru
 
 import "container/list"

@@ -41,57 +41,6 @@ func TestDigestDeterminismAndSensitivity(t *testing.T) {
 	}
 }
 
-// TestMemoObserve pins the hit/miss and streak semantics: a key repeats
-// with the same outcome → hit; a new key or a changed outcome → miss;
-// StableIters is the minimum per-position streak.
-func TestMemoObserve(t *testing.T) {
-	m := NewMemo()
-	k1 := NewDigest().String("p0").Key()
-	k2 := NewDigest().String("p1").Key()
-
-	if m.Observe(0, k1, 100) {
-		t.Error("first sighting hit")
-	}
-	if m.Observe(1, k2, 50) {
-		t.Error("first sighting hit")
-	}
-	if m.StableIters() != 1 {
-		t.Errorf("StableIters = %d, want 1", m.StableIters())
-	}
-	if !m.Observe(0, k1, 100) || !m.Observe(1, k2, 50) {
-		t.Error("repeat sighting missed")
-	}
-	if m.StableIters() != 2 {
-		t.Errorf("StableIters = %d, want 2", m.StableIters())
-	}
-	// Same key, different measured outcome: not a hit, memo updated.
-	if m.Observe(0, k1, 101) {
-		t.Error("changed outcome reported as hit")
-	}
-	if !m.Observe(0, k1, 101) {
-		t.Error("updated outcome not memoized")
-	}
-	// Position 0's key changes: its streak resets, dragging StableIters
-	// down while position 1 keeps its streak.
-	k3 := NewDigest().String("p0'").Key()
-	m.Observe(0, k3, 10)
-	m.Observe(1, k2, 50)
-	if m.StableIters() != 1 {
-		t.Errorf("StableIters after key change = %d, want 1", m.StableIters())
-	}
-	if m.Hits() != 4 || m.Misses() != 4 {
-		t.Errorf("hits/misses = %d/%d, want 4/4", m.Hits(), m.Misses())
-	}
-}
-
-// TestMemoNilSafe: the exact-simulation path carries a nil memo.
-func TestMemoNilSafe(t *testing.T) {
-	var m *Memo
-	if m.Observe(0, 1, 1) || m.StableIters() != 0 || m.Hits() != 0 || m.Misses() != 0 {
-		t.Fatal("nil memo must no-op")
-	}
-}
-
 // TestRegistryFastForward: advancing between iterations preserves the
 // positional cycle; mid-phase or pre-seal fast-forwards panic.
 func TestRegistryFastForward(t *testing.T) {

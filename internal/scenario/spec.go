@@ -486,8 +486,8 @@ func (s *Spec) Compile() (*workloads.Workload, error) {
 	}
 	// The per-iteration content is fully materialized above, so the
 	// change-point declaration the fast path consumes is one compile-time
-	// pass instead of a per-run scan.
-	w.ComputeContentEpochs()
+	// pass instead of a per-run derivation.
+	w.ContentEpochs = w.ComputeContentEpochs()
 	return w, nil
 }
 

@@ -425,8 +425,8 @@ type MergeJSON struct {
 type StatsResponse struct {
 	Cache unimem.CacheStats `json:"cache"`
 	// FastPath totals the analytic fast path's work across every run this
-	// process has executed: phase-memo hits/misses and simulated versus
-	// analytically computed iterations.
+	// process has executed: simulated versus analytically computed
+	// iterations and fast-forward episodes.
 	FastPath unimem.FastPathStats `json:"fastpath"`
 	// InFlight gauges the run/batch/fleet handlers executing right now,
 	// read in the same critical section as Sessions so the two are

@@ -28,17 +28,12 @@ func TestStatsAndMetricsFastPath(t *testing.T) {
 	if fp.SimulatedIters == 0 {
 		t.Fatalf("/stats fastpath saw no simulated iterations: %+v", fp)
 	}
-	if fp.MemoHits+fp.MemoMisses == 0 {
-		t.Fatalf("/stats fastpath saw no memo traffic: %+v", fp)
-	}
 	if fp.AnalyticIters == 0 || fp.FastForwards == 0 {
 		t.Fatalf("fast path never engaged on the quick CG run: %+v", fp)
 	}
 
 	exposition := scrape(t, ts.URL) // validates the full exposition
 	for _, want := range []string{
-		"unimem_fastpath_memo_hits_total",
-		"unimem_fastpath_memo_misses_total",
 		"unimem_fastpath_ff_total",
 		`unimem_fastpath_iters_total{mode="analytic"}`,
 		`unimem_fastpath_iters_total{mode="simulated"}`,
@@ -53,8 +48,8 @@ func TestStatsAndMetricsFastPath(t *testing.T) {
 	if v := metricValue(t, exposition, `unimem_fastpath_iters_total{mode="analytic"}`); v < float64(fp.AnalyticIters) {
 		t.Errorf("metric analytic iters %v < /stats %d", v, fp.AnalyticIters)
 	}
-	if v := metricValue(t, exposition, "unimem_fastpath_memo_hits_total"); v < float64(fp.MemoHits) {
-		t.Errorf("metric memo hits %v < /stats %d", v, fp.MemoHits)
+	if v := metricValue(t, exposition, "unimem_fastpath_ff_total"); v < float64(fp.FastForwards) {
+		t.Errorf("metric fast-forwards %v < /stats %d", v, fp.FastForwards)
 	}
 }
 

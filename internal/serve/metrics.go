@@ -208,12 +208,6 @@ func newServerMetrics(s *Server, disabled bool) *serverMetrics {
 
 	// Analytic fast-path totals (process-wide, from internal/app).
 	fp := app.ReadFastPathTotals
-	r.CounterFunc("unimem_fastpath_memo_hits_total",
-		"Phase-memo hits across all executed runs.",
-		func() float64 { return float64(fp().MemoHits) })
-	r.CounterFunc("unimem_fastpath_memo_misses_total",
-		"Phase-memo misses across all executed runs.",
-		func() float64 { return float64(fp().MemoMisses) })
 	r.CounterFunc("unimem_fastpath_ff_total",
 		"Fast-forward episodes entered (steady windows skipped analytically).",
 		func() float64 { return float64(fp().FastForwards) })

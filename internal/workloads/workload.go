@@ -181,22 +181,20 @@ type Workload struct {
 	SpecDigest string
 	// ContentEpochs optionally declares, in increasing order, every
 	// iteration at which any phase's rank-independent content (content
-	// key) differs from the previous iteration's. nil means unknown: the
-	// fast path's forward scan verifies content keys iteration by
-	// iteration. A non-nil slice (possibly empty: fully stationary) is an
-	// exhaustive declaration — within two consecutive epochs all content
-	// keys are constant — which makes the scan O(#epochs) per episode
-	// instead of O(iterations). Producers that precompute per-iteration
-	// content anyway (scenario compilation) derive it with
-	// ComputeContentEpochs, so the declaration is the scan, hoisted to
-	// compile time.
+	// key) differs from the previous iteration's. A non-nil slice
+	// (possibly empty: fully stationary) is an exhaustive declaration —
+	// within two consecutive epochs all content keys are constant — which
+	// bounds each fast-path window in O(log #epochs). nil means unknown:
+	// the harness derives the epochs with ComputeContentEpochs once per
+	// run. Scenario compilation, which materializes per-iteration content
+	// anyway, declares them at compile time instead.
 	ContentEpochs []int
 }
 
-// ComputeContentEpochs derives ContentEpochs by a single forward pass
-// over every phase's content keys — exactly the comparison the fast
-// path's scan would make per episode, paid once per workload instead.
-func (w *Workload) ComputeContentEpochs() {
+// ComputeContentEpochs derives the workload's content epochs (see
+// ContentEpochs) by a single forward pass over every phase's content
+// keys. It does not modify w.
+func (w *Workload) ComputeContentEpochs() []int {
 	epochs := []int{}
 	prev := make([]phase.Key, len(w.Phases))
 	for pi := range w.Phases {
@@ -211,7 +209,7 @@ func (w *Workload) ComputeContentEpochs() {
 			prev[pi] = k
 		}
 	}
-	w.ContentEpochs = epochs
+	return epochs
 }
 
 // Object returns the spec with the given name, or nil.

@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"strings"
 	"sync"
 
 	"unimem/internal/exp"
-	"unimem/internal/lru"
 )
 
 // Session is the stateful entry point of the library: one value that owns
@@ -79,7 +77,7 @@ func WithWorkers(n int) Option {
 }
 
 // WithSeed sets the harness seed applied to jobs whose Options carry none
-// (default: the harness default seed, matching the legacy Run* behavior).
+// (default: the harness default seed).
 func WithSeed(seed uint64) Option {
 	return func(s *Session) { s.seed = seed }
 }
@@ -195,9 +193,10 @@ type Outcome struct {
 	// Explain is the job's decision-attribution document, snapshotted
 	// after the run when Options.Explain was set (nil otherwise).
 	Explain *ExplainDoc
-	// FastPath reports the analytic fast path's memo and fast-forward
-	// counters for this job. All zeros for cache hits, strategies whose
-	// managers cannot fast-forward, or runs opted out via ExactSim.
+	// FastPath reports the analytic fast path's iteration and
+	// fast-forward counters for this job. All zeros for cache hits,
+	// strategies whose managers cannot fast-forward, or runs opted out via
+	// ExactSim.
 	FastPath FastPathStats
 
 	mach *Machine
@@ -436,64 +435,4 @@ func (s *Session) Stream(ctx context.Context, jobs []Job) <-chan Outcome {
 		}
 	}()
 	return out
-}
-
-// defaultSessions backs the deprecated package-level Run* wrappers: one
-// session per distinct machine (performance fingerprint plus display
-// names), so repeated legacy calls on the same platform reuse its
-// calibration instead of re-measuring it every run. Run memoization is
-// disabled here — each legacy call still owns a fresh Result, exactly as
-// the free functions always behaved.
-//
-// The table is bounded and evicts by least recent use: a sweep over
-// thousands of machine variants must not retain a session (and its
-// calibration) per variant forever, but the hot machines a program keeps
-// returning to must survive that churn (the original implementation
-// stopped admitting new entries once full, and its successor evicted in
-// arbitrary map-iteration order — both starved hot platforms).
-var (
-	defaultMu       sync.Mutex
-	defaultSessions = lru.New[string, *Session](maxDefaultSessions)
-)
-
-// maxDefaultSessions bounds the per-machine default-session table.
-const maxDefaultSessions = 64
-
-func defaultSession(m *Machine) *Session {
-	var names []string
-	names = append(names, m.Name)
-	for _, t := range m.Tiers {
-		names = append(names, t.Name)
-	}
-	key := exp.Fingerprint(m) + "|" + strings.Join(names, "|")
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	if s, ok := defaultSessions.Get(key); ok {
-		return s
-	}
-	s := New(m, WithCache(nil))
-	defaultSessions.Put(key, s)
-	return s
-}
-
-// legacyRun shapes a session run into the deprecated free-function
-// signature.
-func (s *Session) legacyRun(w *Workload, st Strategy, cfg *Config, opts Options) (*Result, []*Runtime, error) {
-	o, err := s.RunJob(context.Background(), Job{Workload: w, Strategy: st, Config: cfg, Options: opts})
-	return o.Result, o.Runtimes, err
-}
-
-// legacyResult is legacyRun for baselines that return no runtimes.
-func (s *Session) legacyResult(w *Workload, st Strategy) (*Result, error) {
-	res, _, err := s.legacyRun(w, st, nil, Options{})
-	return res, err
-}
-
-// legacyTiered is legacyRun shaped for RunTiered.
-func (s *Session) legacyTiered(w *Workload, cfg *Config) (*TieredResult, []*Runtime, error) {
-	o, err := s.RunJob(context.Background(), Job{Workload: w, Strategy: Unimem(), Config: cfg})
-	if err != nil {
-		return nil, o.Runtimes, err
-	}
-	return o.Tiered(), o.Runtimes, nil
 }

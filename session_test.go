@@ -12,79 +12,7 @@ import (
 	"unimem"
 )
 
-// goldenMachines returns the two platforms of the session golden matrix:
-// the paper's two-tier machine and the three-tier HBM+DDR+NVM stack.
-func goldenMachines() []*unimem.Machine {
-	return []*unimem.Machine{
-		unimem.PlatformA().WithNVMBandwidthFraction(0.5),
-		unimem.PlatformHBMDDRNVM(),
-	}
-}
-
-// TestSessionLegacyGoldenEquivalence pins the API redesign's core
-// contract: every deprecated Run* free function is a thin wrapper over a
-// Session, so a fresh explicit Session must produce byte-identical
-// Results for the matching Strategy — across CG/SP/MG on both the
-// two-tier and the three-tier platform.
-func TestSessionLegacyGoldenEquivalence(t *testing.T) {
-	ctx := context.Background()
-	for _, m := range goldenMachines() {
-		sess := unimem.New(m)
-		for _, name := range []string{"CG", "SP", "MG"} {
-			w := unimem.NewNPB(name, "A", 2)
-
-			type variant struct {
-				label    string
-				legacy   func() (*unimem.Result, error)
-				strategy unimem.Strategy
-			}
-			variants := []variant{
-				{"nvm-only", func() (*unimem.Result, error) { return unimem.RunNVMOnly(w, m) }, unimem.SlowestOnly()},
-				{"dram-only", func() (*unimem.Result, error) { return unimem.RunDRAMOnly(w, m) }, unimem.DRAMOnly()},
-				{"fast-only", func() (*unimem.Result, error) { return unimem.RunFastestOnly(w, m) }, unimem.FastestOnly()},
-				{"xmem", func() (*unimem.Result, error) { return unimem.RunXMem(w, m) }, unimem.XMem()},
-				{"unimem", func() (*unimem.Result, error) {
-					res, _, err := unimem.Run(w, m, unimem.DefaultConfig())
-					return res, err
-				}, unimem.Unimem()},
-			}
-			for _, v := range variants {
-				want, err := v.legacy()
-				if err != nil {
-					t.Fatalf("%s/%s/%s legacy: %v", m.Name, name, v.label, err)
-				}
-				out, err := sess.Run(ctx, w, v.strategy)
-				if err != nil {
-					t.Fatalf("%s/%s/%s session: %v", m.Name, name, v.label, err)
-				}
-				if !reflect.DeepEqual(want, out.Result) {
-					t.Errorf("%s/%s/%s: session Result differs from legacy wrapper", m.Name, name, v.label)
-				}
-			}
-
-			// RunTiered vs Outcome.Tiered: the per-tier annotation must
-			// match field for field too.
-			wantTR, wantRts, err := unimem.RunTiered(w, m, unimem.DefaultConfig())
-			if err != nil {
-				t.Fatalf("%s/%s RunTiered: %v", m.Name, name, err)
-			}
-			out, err := sess.Run(ctx, w, unimem.Unimem())
-			if err != nil {
-				t.Fatalf("%s/%s session unimem: %v", m.Name, name, err)
-			}
-			gotTR := out.Tiered()
-			if !reflect.DeepEqual(wantTR, gotTR) {
-				t.Errorf("%s/%s: Tiered annotation differs from RunTiered", m.Name, name)
-			}
-			if len(wantRts) != len(out.Runtimes) {
-				t.Errorf("%s/%s: runtime counts differ (%d vs %d)", m.Name, name, len(wantRts), len(out.Runtimes))
-			}
-		}
-	}
-}
-
-// TestSessionRuntimesRankOrder pins the ordering improvement over the
-// legacy collector: outcome runtimes arrive sorted by rank.
+// TestSessionRuntimesRankOrder: outcome runtimes arrive sorted by rank.
 func TestSessionRuntimesRankOrder(t *testing.T) {
 	m := unimem.PlatformA().WithNVMBandwidthFraction(0.5)
 	out, err := unimem.New(m).Run(context.Background(), unimem.NewNPB("CG", "A", 4), unimem.Unimem())
@@ -279,10 +207,8 @@ func TestSessionStreamCancelMidFleet(t *testing.T) {
 	}
 }
 
-// TestSessionCalibrationMemoized: the session measures its platform once;
-// the value matches the package-level Calibrate path used by the lazy
-// runtime (same seed derivation), so pre-installing it keeps legacy
-// results byte-identical.
+// TestSessionCalibrationMemoized: the session measures its platform once,
+// and repeated reads return the memoized value.
 func TestSessionCalibrationMemoized(t *testing.T) {
 	m := unimem.PlatformA().WithNVMLatencyFactor(4)
 	sess := unimem.New(m)

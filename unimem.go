@@ -44,10 +44,6 @@
 //	})
 //	for out := range sess.Stream(ctx, jobs) { ... }
 //
-// The free functions Run, RunTiered, RunDRAMOnly, RunNVMOnly,
-// RunFastestOnly and RunXMem predate the Session API; they remain as
-// deprecated wrappers over a shared per-machine default session.
-//
 // See the examples directory for complete programs, cmd/unimem-bench for
 // the paper's experiments, and cmd/unimem-serve for the HTTP service
 // front end (a session pool over a shared, bounded, disk-persistent run
@@ -176,65 +172,14 @@ type RegretRecord = obs.RegretRecord
 // advanced in one step.
 type FastForwardRecord = obs.FastForwardRecord
 
-// FastPathStats summarizes the analytic fast path's work in one run:
-// phase-memo hits and misses, and how many iterations were simulated
-// event-for-event versus computed analytically (see Outcome.FastPath and
-// WithExactSim).
+// FastPathStats summarizes the analytic fast path's work in one run: how
+// many iterations were simulated event-for-event versus computed
+// analytically, and in how many fast-forward episodes (see
+// Outcome.FastPath and WithExactSim).
 type FastPathStats = app.FastPathStats
 
 // NewExplain returns an empty attribution recorder.
 func NewExplain() *Explain { return obs.NewExplain() }
-
-// Run executes the workload on machine m under the Unimem runtime and
-// returns the result together with the per-rank runtimes (in rank order)
-// for inspection. Repeated calls on the same machine share one default
-// session, so the platform is calibrated once, not per call.
-//
-// Deprecated: Use Session.Run with the Unimem Strategy, which adds
-// context cancellation, run memoization and batch execution:
-// unimem.New(m).Run(ctx, w, unimem.Unimem()).
-func Run(w *Workload, m *Machine, cfg Config) (*Result, []*Runtime, error) {
-	return RunOpts(w, m, cfg, Options{})
-}
-
-// RunOpts is Run with explicit harness options.
-//
-// Deprecated: Use Session.RunJob with a Job carrying the Options:
-// unimem.New(m).RunJob(ctx, unimem.Job{Workload: w, Strategy:
-// unimem.Unimem(), Config: &cfg, Options: opts}).
-func RunOpts(w *Workload, m *Machine, cfg Config, opts Options) (*Result, []*Runtime, error) {
-	return defaultSession(m).legacyRun(w, Unimem(), &cfg, opts)
-}
-
-// RunNVMOnly executes the workload with every object pinned in the slowest
-// tier — the NVM-only system of the paper's comparisons.
-//
-// Deprecated: Use Session.Run with the SlowestOnly Strategy:
-// unimem.New(m).Run(ctx, w, unimem.SlowestOnly()).
-func RunNVMOnly(w *Workload, m *Machine) (*Result, error) {
-	return defaultSession(m).legacyResult(w, SlowestOnly())
-}
-
-// RunDRAMOnly executes the workload on the undegraded twin of m (NVM tier
-// configured to DRAM parity) — the DRAM-only baseline all results
-// normalize against.
-//
-// Deprecated: Use Session.Run with the DRAMOnly Strategy:
-// unimem.New(m).Run(ctx, w, unimem.DRAMOnly()).
-func RunDRAMOnly(w *Workload, m *Machine) (*Result, error) {
-	return defaultSession(m).legacyResult(w, DRAMOnly())
-}
-
-// RunFastestOnly executes the workload on the FastTwin of m: every tier at
-// the hierarchy's component-wise best performance (max bandwidth, min
-// latency) — the upper-bound baseline multi-tier results normalize
-// against (equivalent to RunDRAMOnly on two-tier machines).
-//
-// Deprecated: Use Session.Run with the FastestOnly Strategy:
-// unimem.New(m).Run(ctx, w, unimem.FastestOnly()).
-func RunFastestOnly(w *Workload, m *Machine) (*Result, error) {
-	return defaultSession(m).legacyResult(w, FastestOnly())
-}
 
 // TierUsage summarizes one tier's residency and migration traffic for one
 // rank of a tiered run.
@@ -249,33 +194,11 @@ type TierUsage struct {
 }
 
 // TieredResult is a Result annotated with per-tier residency/migration
-// detail (rank 0).
+// detail (rank 0), as returned by Outcome.Tiered.
 type TieredResult struct {
 	*Result
 	// Tiers has one entry per tier of the machine, fastest first.
 	Tiers []TierUsage
-}
-
-// RunTiered executes the workload on an N-tier machine under the Unimem
-// runtime (the multiple-choice-knapsack placement on machines deeper than
-// two tiers, the paper's exact pipeline on two-tier machines) and returns
-// the result annotated with rank 0's per-tier residency and migration
-// statistics, plus the per-rank runtimes for inspection.
-//
-// Deprecated: Use Session.Run with the Unimem Strategy and annotate the
-// outcome with Outcome.Tiered: unimem.New(m).Run(ctx, w,
-// unimem.Unimem()), then out.Tiered().
-func RunTiered(w *Workload, m *Machine, cfg Config) (*TieredResult, []*Runtime, error) {
-	return defaultSession(m).legacyTiered(w, &cfg)
-}
-
-// RunXMem executes the workload under the X-Mem baseline: an offline
-// profiling pass followed by a static hotness placement.
-//
-// Deprecated: Use Session.Run with the XMem Strategy:
-// unimem.New(m).Run(ctx, w, unimem.XMem()).
-func RunXMem(w *Workload, m *Machine) (*Result, error) {
-	return defaultSession(m).legacyResult(w, XMem())
 }
 
 // Calibrate performs the one-time platform calibration with STREAM and

@@ -1,10 +1,21 @@
 package unimem_test
 
 import (
+	"context"
 	"testing"
 
 	"unimem"
 )
+
+// run executes one job on a fresh session and fails the test on error.
+func run(t *testing.T, m *unimem.Machine, w *unimem.Workload, st unimem.Strategy, cfg *unimem.Config) *unimem.Outcome {
+	t.Helper()
+	out, err := unimem.New(m).RunJob(context.Background(), unimem.Job{Workload: w, Strategy: st, Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 func buildApp(iters int) *unimem.Workload {
 	app := unimem.NewApp("demo", 2, iters)
@@ -22,20 +33,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	m := unimem.PlatformA().WithNVMBandwidthFraction(0.5).WithDRAMCapacity(224 << 20)
 	w := buildApp(15)
 
-	dram, err := unimem.RunDRAMOnly(w, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nvm, err := unimem.RunNVMOnly(w, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dram := run(t, m, w, unimem.DRAMOnly(), nil).Result
+	nvm := run(t, m, w, unimem.SlowestOnly(), nil).Result
 	cfg := unimem.DefaultConfig()
 	cfg.Calibration = unimem.Calibrate(m)
-	uni, rts, err := unimem.Run(w, m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := run(t, m, w, unimem.Unimem(), &cfg)
+	uni, rts := out.Result, out.Runtimes
 	if len(rts) != 2 {
 		t.Fatalf("expected 2 runtimes, got %d", len(rts))
 	}
@@ -52,14 +55,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 func TestXMemComparable(t *testing.T) {
 	m := unimem.PlatformA().WithNVMBandwidthFraction(0.5)
 	w := unimem.NewNPB("CG", "C", 4)
-	xm, err := unimem.RunXMem(w, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nvm, err := unimem.RunNVMOnly(w, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	xm := run(t, m, w, unimem.XMem(), nil).Result
+	nvm := run(t, m, w, unimem.SlowestOnly(), nil).Result
 	if xm.TimeNS >= nvm.TimeNS {
 		t.Fatal("X-Mem should beat NVM-only on CG")
 	}
@@ -110,27 +107,20 @@ func TestBuilderValidation(t *testing.T) {
 	}
 }
 
-// TestRunTieredEndToEnd drives the public N-tier API: RunTiered on the
+// TestRunTieredEndToEnd drives the public N-tier API: a Unimem run on the
 // three-tier platform must produce a multiple-choice-knapsack plan, beat
-// slowest-only, and report per-tier usage consistent with the machine.
+// slowest-only, and Outcome.Tiered must report per-tier usage consistent
+// with the machine.
 func TestRunTieredEndToEnd(t *testing.T) {
 	m := unimem.PlatformHBMDDRNVM()
 	w := buildApp(15)
 
-	fast, err := unimem.RunFastestOnly(w, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := unimem.RunNVMOnly(w, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fast := run(t, m, w, unimem.FastestOnly(), nil).Result
+	slow := run(t, m, w, unimem.SlowestOnly(), nil).Result
 	cfg := unimem.DefaultConfig()
 	cfg.Calibration = unimem.Calibrate(m)
-	res, rts, err := unimem.RunTiered(w, m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := run(t, m, w, unimem.Unimem(), &cfg)
+	res, rts := out.Tiered(), out.Runtimes
 	if !(fast.TimeNS <= res.TimeNS && res.TimeNS < slow.TimeNS) {
 		t.Fatalf("ordering violated: fast=%d tiered=%d slow=%d", fast.TimeNS, res.TimeNS, slow.TimeNS)
 	}
