@@ -137,8 +137,10 @@ func BenchmarkRuntimeDecision(b *testing.B) {
 }
 
 // BenchmarkMigrationPath measures the helper-thread migration machinery
-// (enqueue -> real copy -> sync) end to end.
+// (enqueue -> apply at the sync point -> sync) end to end; its bytes/op
+// show that migrating untouched chunks copies no backing bytes.
 func BenchmarkMigrationPath(b *testing.B) {
+	b.ReportAllocs()
 	m := unimem.PlatformA().WithNVMBandwidthFraction(0.5)
 	cfg := unimem.DefaultConfig()
 	cfg.Calibration = unimem.Calibrate(m)

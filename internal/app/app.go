@@ -71,7 +71,8 @@ type ManagerFactory func(rank int) Manager
 type Options struct {
 	Ranks        int
 	RanksPerNode int // default 1 (the paper's experiments use 1 task/node)
-	// MaterializeCap bounds real backing per chunk (0: memsys default).
+	// MaterializeCap bounds the real backing bytes of a chunk whose data
+	// is touched (0: memsys default). Simulated runs touch none.
 	MaterializeCap int64
 	// ChunkSize overrides the default partition granularity.
 	ChunkSize int64

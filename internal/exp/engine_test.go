@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -154,5 +155,37 @@ func TestForEachRowContextCancel(t *testing.T) {
 		if ran.Load() == 100 {
 			t.Errorf("workers=%d: pool dispatched every cell after cancellation", workers)
 		}
+	}
+}
+
+// TestEngineRunAllocatesNoChunkBacking: simulated runs never touch chunk
+// data, so none of it is materialized. Nek5000 under Unimem allocates 48
+// objects per rank and migrates hundreds of chunks: eagerly zeroed and
+// copied backing would make this run allocate about 690 MiB, lazy backing
+// about 7 MiB. Byte counts do not depend on the host, so the ceiling is a
+// machine-independent gate against backing creeping back in.
+func TestEngineRunAllocatesNoChunkBacking(t *testing.T) {
+	e := NewEngine(false, nil)
+	m := machine.PlatformA().WithNVMBandwidthFraction(0.5)
+	w := workloads.NewNek5000("C", 4)
+	run := func() *app.Result {
+		res, _, err := e.Execute(context.Background(), w, m, StrategyUnimem(), core.DefaultConfig(), app.Options{Ranks: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	run() // memoize the calibration outside the measurement
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := run()
+	runtime.ReadMemStats(&after)
+	if res.TotalMigrations() == 0 {
+		t.Fatal("the run migrated nothing; the gate measures nothing")
+	}
+	const ceiling = 32 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
+		t.Fatalf("one run allocated %d MiB, above the %d MiB ceiling (%d migrations)",
+			got>>20, ceiling>>20, res.TotalMigrations())
 	}
 }

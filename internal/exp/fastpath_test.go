@@ -106,7 +106,7 @@ func TestFastPathDifferentialBuiltin(t *testing.T) {
 		for _, s := range strategies {
 			run := func(exact bool) (*app.Result, ExecInfo) {
 				res, _, info, err := eng.ExecuteInfo(context.Background(), w, m, s.st, core.DefaultConfig(),
-					app.Options{Ranks: w.Ranks, ExactSim: exact, MaterializeCap: 64 << 10})
+					app.Options{Ranks: w.Ranks, ExactSim: exact})
 				if err != nil {
 					t.Fatalf("%s/%s: %v", w.Name, s.name, err)
 				}

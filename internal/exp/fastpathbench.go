@@ -106,12 +106,8 @@ func RunFastpathBench(quick bool, logf func(string, ...interface{})) (*FastpathB
 		run := func(exact bool) (*app.Result, app.FastPathStats, time.Duration, error) {
 			var st app.FastPathStats
 			start := time.Now()
-			// The tight MaterializeCap (applied to both sides) keeps real
-			// memory zeroing — a fixed per-run cost unrelated to what this
-			// bench measures — from flattering or masking the ratio.
 			res, _, err := eng.Execute(ctx, w, c.m, StrategyUnimem(), cfg,
-				app.Options{Ranks: spec.Ranks, ExactSim: exact, FastPath: &st,
-					MaterializeCap: 64 << 10})
+				app.Options{Ranks: spec.Ranks, ExactSim: exact, FastPath: &st})
 			return res, st, time.Since(start), err
 		}
 		// Warm the engine's memoized calibration so neither side pays it.

@@ -9,10 +9,12 @@
 // rank).
 //
 // Object sizes and arena capacities are *simulated* byte counts (so Class
-// C/D footprints of many gigabytes can be modelled), while each chunk also
-// carries a real backing buffer capped at a configurable materialization
-// limit, so migrations genuinely copy bytes and kernels genuinely compute
-// on memory that has been moved.
+// C/D footprints of many gigabytes can be modelled). A chunk can also carry
+// a real backing buffer, capped at a configurable materialization limit and
+// allocated when a caller first touches the chunk's data (Chunk.Data,
+// Chunk.StoreF64); from then on migrations genuinely copy its bytes.
+// Simulated runs read only sizes, tiers and simulated addresses, so their
+// chunks never materialize and migrate without copying.
 package memsys
 
 import (

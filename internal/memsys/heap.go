@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -10,8 +11,8 @@ import (
 )
 
 // DefaultMaterializeCap bounds the real backing bytes per chunk so that
-// multi-gigabyte simulated objects stay runnable; kernels index into the
-// materialized prefix modulo its length.
+// multi-gigabyte simulated objects stay runnable; loads and stores index
+// into the materialized prefix modulo its length.
 const DefaultMaterializeCap = 1 << 20
 
 // ObjectID identifies a registered data object within one heap (rank).
@@ -31,7 +32,10 @@ type Chunk struct {
 
 	tier   machine.TierKind
 	offset int64 // offset within the current tier's arena
-	data   []byte
+	// data is the real backing prefix, nil until Data or StoreF64 first
+	// touches the chunk. Simulated runs never touch it, so their chunks
+	// cost no zeroing at allocation and no copy at migration.
+	data []byte
 }
 
 // Tier returns the tier the chunk currently resides in.
@@ -45,36 +49,66 @@ func (c *Chunk) Name() string {
 	return fmt.Sprintf("%s[%d]", c.Obj.Name, c.Index)
 }
 
-// Data returns the chunk's current real backing bytes (the materialized
-// prefix of the simulated extent). The slice identity changes on migration,
-// mirroring the paper's pointer-rewrite semantics.
-func (c *Chunk) Data() []byte { return c.data }
+// Data returns the chunk's real backing bytes: the first
+// min(Size, MaterializeCap) bytes of the simulated extent, allocated zeroed
+// on first use. The slice identity changes on migration, mirroring the
+// paper's pointer-rewrite semantics.
+func (c *Chunk) Data() []byte {
+	h := c.Obj.heap
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return c.materialize()
+}
+
+// materialize allocates the backing prefix if the chunk has none; the
+// caller holds the heap's placement lock.
+func (c *Chunk) materialize() []byte {
+	if c.data == nil {
+		c.data = make([]byte, c.prefixLen())
+	}
+	return c.data
+}
+
+// prefixLen is the length of the chunk's real backing prefix, whether or
+// not it has been materialized.
+func (c *Chunk) prefixLen() int64 { return min(c.Size, c.Obj.heap.materializeCap) }
+
+// slot returns the byte offset of float64 element i, wrapping into the
+// backing prefix; ok is false when the prefix cannot hold one element.
+func (c *Chunk) slot(i int64) (off int64, ok bool) {
+	n := c.prefixLen()
+	if n < 8 {
+		return 0, false
+	}
+	off = (i % (n / 8)) * 8
+	if off < 0 {
+		off += n
+	}
+	return off, true
+}
 
 // LoadF64 reads the float64 at element index i of the chunk, wrapping into
-// the materialized prefix for indices beyond it.
+// the materialized prefix for indices beyond it. An untouched chunk reads
+// as zero without being materialized.
 func (c *Chunk) LoadF64(i int64) float64 {
-	n := int64(len(c.data)) / 8
-	if n == 0 {
+	h := c.Obj.heap
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	off, ok := c.slot(i)
+	if !ok || c.data == nil {
 		return 0
-	}
-	off := (i % n) * 8
-	if off < 0 {
-		off += int64(len(c.data))
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(c.data[off:]))
 }
 
 // StoreF64 writes the float64 at element index i, wrapping like LoadF64.
 func (c *Chunk) StoreF64(i int64, v float64) {
-	n := int64(len(c.data)) / 8
-	if n == 0 {
-		return
+	h := c.Obj.heap
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if off, ok := c.slot(i); ok {
+		binary.LittleEndian.PutUint64(c.materialize()[off:], math.Float64bits(v))
 	}
-	off := (i % n) * 8
-	if off < 0 {
-		off += int64(len(c.data))
-	}
-	binary.LittleEndian.PutUint64(c.data[off:], math.Float64bits(v))
 }
 
 // Object is a registered target data object (§3: allocated via
@@ -178,8 +212,8 @@ type tierAlloc interface {
 // HeapOptions configures NewHeap.
 type HeapOptions struct {
 	// MaterializeCap bounds real backing bytes per chunk
-	// (default DefaultMaterializeCap). Set to a large value in examples to
-	// make all data fully real.
+	// (default DefaultMaterializeCap). Set it to a large value to make a
+	// touched chunk's data fully real; untouched chunks hold none.
 	MaterializeCap int64
 	// DefaultChunkSize is used for partitionable objects whose AllocOptions
 	// leave ChunkSize zero (default 32 MiB).
@@ -275,11 +309,6 @@ func (h *Heap) Alloc(name string, size int64, opts AllocOptions) (*Object, error
 			SimAddr: h.nextSimAddr,
 		}
 		h.nextSimAddr += cs
-		mat := cs
-		if mat > h.materializeCap {
-			mat = h.materializeCap
-		}
-		c.data = make([]byte, mat)
 		placed := false
 		var err error
 		for k := opts.InitialTier; int(k) < h.Mach.NumTiers(); k++ {
@@ -337,10 +366,10 @@ func (h *Heap) Free(o *Object) {
 }
 
 // MoveChunk migrates the chunk to tier k: reserves space in the target
-// tier, copies the real backing bytes into a fresh buffer (the pointer
-// rewrite the runtime performs on behalf of the application), and releases
-// the old reservation. It returns the simulated bytes moved (0 if already
-// resident) or ErrNoSpace if the target tier cannot hold the chunk.
+// tier, copies any materialized backing bytes into a fresh buffer (the
+// pointer rewrite the runtime performs on behalf of the application), and
+// releases the old reservation. It returns the simulated bytes moved (0 if
+// already resident) or ErrNoSpace if the target tier cannot hold the chunk.
 func (h *Heap) MoveChunk(c *Chunk, k machine.TierKind) (int64, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -355,9 +384,8 @@ func (h *Heap) MoveChunk(c *Chunk, k machine.TierKind) (int64, error) {
 	}
 	// Real copy into the new residence; the old buffer becomes garbage,
 	// which is exactly the lifetime the runtime's pointer update implies.
-	newData := make([]byte, len(c.data))
-	copy(newData, c.data)
-	c.data = newData
+	// An untouched chunk has nothing to copy and stays unmaterialized.
+	c.data = bytes.Clone(c.data)
 	h.Stats.PointerRewrite++
 	h.allocs[oldTier].Free(oldOff, c.Size)
 	h.Stats.Migrations++

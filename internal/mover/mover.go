@@ -3,7 +3,7 @@
 // a real goroutine — that runs in parallel with the application, consuming
 // migration requests from a shared FIFO queue, and serving as the
 // synchronization point the main thread checks at the beginning of each
-// phase. The byte copies themselves are applied to the simulated heap at
+// phase. The migrations themselves are applied to the simulated heap at
 // those synchronization points, in queue order, so simulated results do
 // not depend on goroutine scheduling (see Mover's determinism contract).
 //
@@ -174,7 +174,7 @@ func (m *Mover) run() {
 }
 
 // applyLocked pops pending requests with seq <= upto and applies them in
-// FIFO order: perform the real copy, advance the virtual copy timeline,
+// FIFO order: move the chunk on the heap, advance the virtual copy timeline,
 // post the completion. Caller holds m.mu and must have waited for
 // recvSeq >= upto.
 func (m *Mover) applyLocked(upto uint64) {

@@ -44,6 +44,7 @@ func Knapsack(items []Item, capacity int64) ([]int, float64) {
 		w    float64
 	}
 	var cands []cand
+	total := 0
 	for i, it := range items {
 		if it.WeightNS <= 0 || it.Size <= 0 {
 			continue
@@ -53,17 +54,23 @@ func Knapsack(items []Item, capacity int64) ([]int, float64) {
 			continue
 		}
 		cands = append(cands, cand{idx: i, size: sz, w: it.WeightNS})
+		total += sz
 	}
 	if len(cands) == 0 {
 		return nil, 0
 	}
+	// After candidate k every column at or past the first k sizes' sum
+	// holds the same value and decision, so columns past the candidates'
+	// total size repeat the last one. Stopping the table there is exact,
+	// and it keeps small candidates from paying for a wide capacity.
+	width := min(cap, total) + 1
 	// dp[c] is the best weight using capacity c; take[k][c] records whether
 	// candidate k is chosen at capacity c on the optimal path.
-	dp := make([]float64, cap+1)
+	dp := make([]float64, width)
 	take := make([][]bool, len(cands))
 	for k, cd := range cands {
-		take[k] = make([]bool, cap+1)
-		for c := cap; c >= cd.size; c-- {
+		take[k] = make([]bool, width)
+		for c := width - 1; c >= cd.size; c-- {
 			if v := dp[c-cd.size] + cd.w; v > dp[c] {
 				dp[c] = v
 				take[k][c] = true
@@ -72,7 +79,7 @@ func Knapsack(items []Item, capacity int64) ([]int, float64) {
 	}
 	// Reconstruct.
 	var chosen []int
-	c := cap
+	c := width - 1
 	for k := len(cands) - 1; k >= 0; k-- {
 		if take[k][c] {
 			chosen = append(chosen, cands[k].idx)
@@ -83,5 +90,5 @@ func Knapsack(items []Item, capacity int64) ([]int, float64) {
 	for i, j := 0, len(chosen)-1; i < j; i, j = i+1, j-1 {
 		chosen[i], chosen[j] = chosen[j], chosen[i]
 	}
-	return chosen, dp[cap]
+	return chosen, dp[width-1]
 }

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -103,6 +104,63 @@ func TestKnapsackRespectsCapacity(t *testing.T) {
 		return total <= capacity
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// knapsackFullWidth is the reference DP over every capacity column, the
+// table Knapsack narrows to the candidates' total size.
+func knapsackFullWidth(items []Item, capacity int64) ([]int, float64) {
+	cap := int(capacity / knapGranularity)
+	dp := make([]float64, cap+1)
+	take := make([][]bool, len(items))
+	sizes := make([]int, len(items))
+	for k, it := range items {
+		take[k] = make([]bool, cap+1)
+		sizes[k] = int((it.Size + knapGranularity - 1) / knapGranularity)
+		if it.WeightNS <= 0 || it.Size <= 0 || sizes[k] > cap {
+			continue
+		}
+		for c := cap; c >= sizes[k]; c-- {
+			if v := dp[c-sizes[k]] + it.WeightNS; v > dp[c] {
+				dp[c] = v
+				take[k][c] = true
+			}
+		}
+	}
+	var chosen []int
+	for k, c := len(items)-1, cap; k >= 0; k-- {
+		if take[k][c] {
+			chosen = append([]int{k}, chosen...)
+			c -= sizes[k]
+		}
+	}
+	return chosen, dp[cap]
+}
+
+// TestKnapsackNarrowTableMatchesFullWidth: bounding the DP table by the
+// candidates' total size returns exactly the full-width choice and weight,
+// float rounding included, whether the candidates fit the capacity with
+// room to spare or contend for it.
+func TestKnapsackNarrowTableMatchesFullWidth(t *testing.T) {
+	type tItem struct {
+		Size   uint16
+		Weight float64
+	}
+	f := func(raw []tItem, capMB uint16) bool {
+		if len(raw) > 24 {
+			raw = raw[:24]
+		}
+		items := make([]Item, len(raw))
+		for i, r := range raw {
+			items[i] = Item{Chunk: string(rune('a' + i)), Size: int64(r.Size%(48<<10)) * 1024, WeightNS: r.Weight}
+		}
+		capacity := int64(capMB%512) << 20
+		gotC, gotW := Knapsack(items, capacity)
+		wantC, wantW := knapsackFullWidth(items, capacity)
+		return reflect.DeepEqual(gotC, wantC) && gotW == wantW
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

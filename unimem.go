@@ -9,8 +9,8 @@
 // Eq. 1-4 performance models, knapsack placement via phase-local and
 // cross-phase global search, proactive helper-thread migration) together
 // with the simulated substrate it manages: an N-tier memory hierarchy
-// with real byte backing (the paper's two-tier DRAM+NVM system as the
-// degenerate case, plus HBM/DDR/CXL/NVM presets placed by a
+// with lazily materialized byte backing (the paper's two-tier DRAM+NVM
+// system as the degenerate case, plus HBM/DDR/CXL/NVM presets placed by a
 // multiple-choice knapsack), an MPI-like world of goroutine ranks with
 // virtual clocks, emulated sampling performance counters, the NPB/Nek5000
 // evaluation workloads, the X-Mem baseline, and a harness that
