@@ -137,8 +137,8 @@ func BenchmarkRuntimeDecision(b *testing.B) {
 }
 
 // BenchmarkMigrationPath measures the helper-thread migration machinery
-// (enqueue -> apply at the sync point -> sync) end to end; its bytes/op
-// show that migrating untouched chunks copies no backing bytes.
+// (enqueue -> apply at the sync point -> sync) end to end; chunks carry
+// no backing bytes, so its bytes/op are the runtime's bookkeeping alone.
 func BenchmarkMigrationPath(b *testing.B) {
 	b.ReportAllocs()
 	m := unimem.PlatformA().WithNVMBandwidthFraction(0.5)

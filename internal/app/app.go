@@ -71,9 +71,6 @@ type ManagerFactory func(rank int) Manager
 type Options struct {
 	Ranks        int
 	RanksPerNode int // default 1 (the paper's experiments use 1 task/node)
-	// MaterializeCap bounds the real backing bytes of a chunk whose data
-	// is touched (0: memsys default). Simulated runs touch none.
-	MaterializeCap int64
 	// ChunkSize overrides the default partition granularity.
 	ChunkSize int64
 	Seed      uint64
@@ -173,9 +170,8 @@ func Run(w *workloads.Workload, m *machine.Machine, opts Options, mf ManagerFact
 // RunCtx is Run bounded by a context: when ctx is cancelled mid-run the
 // simulated world is aborted — ranks parked in collectives or receives
 // wake immediately and unwind through the simulator's abort sentinel,
-// running ranks stop at their next phase boundary or MPI call — each rank
-// stopping its manager's helper thread first, and RunCtx returns ctx's
-// error.
+// running ranks stop at their next phase boundary or MPI call — and RunCtx
+// returns ctx's error.
 // Results of a cancelled run are never returned. A background context adds
 // no overhead beyond one atomic load per phase.
 func RunCtx(ctx context.Context, w *workloads.Workload, m *machine.Machine, opts Options, mf ManagerFactory) (*Result, error) {
@@ -225,7 +221,6 @@ func RunCtx(ctx context.Context, w *workloads.Workload, m *machine.Machine, opts
 	world.Run(func(c *mpisim.Comm) {
 		rank := c.Rank()
 		heap := memsys.NewHeap(m, nodes[rank/opts.RanksPerNode], memsys.HeapOptions{
-			MaterializeCap:   opts.MaterializeCap,
 			DefaultChunkSize: opts.ChunkSize,
 		})
 		rc := &RankCtx{Rank: rank, Mach: m, Heap: heap, Comm: c, W: w}
@@ -248,26 +243,6 @@ func RunCtx(ctx context.Context, w *workloads.Workload, m *machine.Machine, opts
 			rc.Trace.Span(obs.Virtual, rank, "setup", "harness", setupStart, c.Clock(),
 				map[string]any{"manager": mgr.Name(), "workload": w.Name})
 		}
-		loopEnded := false
-		endLoop := func() {
-			if !loopEnded {
-				loopEnded = true
-				mgr.LoopEnd(rc)
-			}
-		}
-		// A cancellation can surface mid-operation: the simulator's
-		// post-abort primitives panic with a sentinel rather than return
-		// nil payloads. Recover it here so the manager's helper thread is
-		// stopped before the rank unwinds; genuine panics keep propagating.
-		defer func() {
-			if p := recover(); p != nil {
-				if !mpisim.IsAbort(p) {
-					panic(p)
-				}
-				endLoop()
-				errs[rank] = ctx.Err()
-			}
-		}()
 		mgr.LoopStart(rc)
 		// The fast-path tracker is nil when the run opts out or the manager
 		// is not a FastPather — both rank-independent, so either every rank
@@ -285,13 +260,9 @@ func RunCtx(ctx context.Context, w *workloads.Workload, m *machine.Machine, opts
 				fp.beginIter(c)
 			}
 			for pi := range w.Phases {
-				// Ranks may notice the abort at different phases (the
-				// phase-boundary check here) or mid-operation (the
-				// sentinel recovered above); either way LoopEnd runs so
-				// the manager's helper thread terminates before we unwind.
+				// Ranks notice the abort here or mid-operation, where
+				// the simulator unwinds them with its abort sentinel.
 				if world.Aborted() {
-					errs[rank] = ctx.Err()
-					endLoop()
 					return
 				}
 				ph := &w.Phases[pi]
@@ -334,7 +305,7 @@ func RunCtx(ctx context.Context, w *workloads.Workload, m *machine.Machine, opts
 			}
 			iter++
 		}
-		endLoop()
+		mgr.LoopEnd(rc)
 		if fp != nil {
 			fp.flush(opts.FastPath)
 		}

@@ -30,9 +30,9 @@ func TestRunCtxDeadContext(t *testing.T) {
 
 // TestRunCtxCancelMidRun cancels a long run shortly after it starts: the
 // simulated world must abort — ranks parked in collectives included —
-// and RunCtx must return the context error promptly, with the Unimem
-// runtime's helper threads stopped (verified implicitly by -race and the
-// absence of a hang).
+// and RunCtx must return the context error promptly. The Unimem
+// runtime's helper thread is a virtual timeline on the rank goroutine, so
+// an aborted rank leaves nothing running behind it.
 func TestRunCtxCancelMidRun(t *testing.T) {
 	w := workloads.NewCG("C", 4)
 	cp := *w

@@ -10,6 +10,10 @@
 // sweeps missing once per line, pointer chases missing almost always,
 // cache-resident vectors barely missing) actually emerge from a realistic
 // cache.
+//
+// Together with internal/trace and internal/profiler it forms the
+// test-only model-fidelity harness: nothing outside tests imports the
+// three packages, and no simulated run executes them.
 package cachesim
 
 import "fmt"

@@ -274,7 +274,6 @@ func (r *Runtime) Setup(ctx *app.RankCtx) error {
 				map[string]any{"from": c.From.String(), "to": c.Req.To.String(), "bytes": c.BytesMoved})
 		})
 	}
-	r.mov.Start()
 	r.reg = phase.NewRegistry()
 
 	if r.cfg.Calibration == (model.Calibration{}) {
@@ -997,7 +996,8 @@ func (r *Runtime) FastForward(n int) {
 	}
 }
 
-// LoopEnd implements app.Manager: unimem_end — stop the helper thread.
+// LoopEnd implements app.Manager: unimem_end — apply every outstanding
+// migration.
 func (r *Runtime) LoopEnd(ctx *app.RankCtx) {
 	r.mov.Stop()
 }

@@ -158,34 +158,47 @@ func TestForEachRowContextCancel(t *testing.T) {
 	}
 }
 
-// TestEngineRunAllocatesNoChunkBacking: simulated runs never touch chunk
-// data, so none of it is materialized. Nek5000 under Unimem allocates 48
-// objects per rank and migrates hundreds of chunks: eagerly zeroed and
-// copied backing would make this run allocate about 690 MiB, lazy backing
-// about 7 MiB. Byte counts do not depend on the host, so the ceiling is a
-// machine-independent gate against backing creeping back in.
-func TestEngineRunAllocatesNoChunkBacking(t *testing.T) {
-	e := NewEngine(false, nil)
+// TestEngineRunAllocationCeilings bounds the bytes one uncached Unimem run
+// allocates, with the platform calibration taken beforehand. Byte counts
+// do not depend on the host, so each ceiling is a machine-independent gate:
+//   - Nek5000 class C at 4 ranks allocates 48 objects per rank and migrates
+//     hundreds of chunks; zeroed and copied chunk backing would put it near
+//     690 MiB, the runtime's bookkeeping alone near 7 MiB.
+//   - MG class A at 1024 ranks is dominated by per-rank state; a mover
+//     that owned a goroutine and a 256-slot request channel per rank put it
+//     near 35 MiB, a plain per-rank FIFO near 25.5 MiB.
+func TestEngineRunAllocationCeilings(t *testing.T) {
 	m := machine.PlatformA().WithNVMBandwidthFraction(0.5)
-	w := workloads.NewNek5000("C", 4)
-	run := func() *app.Result {
-		res, _, err := e.Execute(context.Background(), w, m, StrategyUnimem(), core.DefaultConfig(), app.Options{Ranks: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	run() // memoize the calibration outside the measurement
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res := run()
-	runtime.ReadMemStats(&after)
-	if res.TotalMigrations() == 0 {
-		t.Fatal("the run migrated nothing; the gate measures nothing")
-	}
-	const ceiling = 32 << 20
-	if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
-		t.Fatalf("one run allocated %d MiB, above the %d MiB ceiling (%d migrations)",
-			got>>20, ceiling>>20, res.TotalMigrations())
+	for _, tc := range []struct {
+		name     string
+		w        *workloads.Workload
+		migrates bool
+		ceiling  uint64
+	}{
+		{"Nek5000-C-4", workloads.NewNek5000("C", 4), true, 32 << 20},
+		{"MG-A-1024", workloads.NewMG("A", 1024), false, 30 << 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(false, nil)
+			cfg := core.DefaultConfig()
+			cfg.Calibration = e.Calibration(m, cfg.Counters, cfg.Seed^0xCA11B)
+			opts := app.Options{Ranks: tc.w.Ranks}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, _, err := e.Execute(context.Background(), tc.w, m, StrategyUnimem(), cfg, opts)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.migrates && res.TotalMigrations() == 0 {
+				t.Fatal("the run migrated nothing; the gate measures no migration")
+			}
+			got := after.TotalAlloc - before.TotalAlloc
+			t.Logf("allocated %.1f MiB (%d migrations)", float64(got)/(1<<20), res.TotalMigrations())
+			if got > tc.ceiling {
+				t.Fatalf("one run allocated %.1f MiB, above the %d MiB ceiling (%d migrations)",
+					float64(got)/(1<<20), tc.ceiling>>20, res.TotalMigrations())
+			}
+		})
 	}
 }

@@ -11,6 +11,9 @@ import (
 	"testing"
 
 	"unimem/internal/app"
+	"unimem/internal/core"
+	"unimem/internal/machine"
+	"unimem/internal/workloads"
 )
 
 // snapKey builds a distinct key for persistence tests.
@@ -221,5 +224,55 @@ func TestSnapshotLoadRespectsBudget(t *testing.T) {
 	}
 	if st.Evictions == 0 {
 		t.Error("over-budget load evicted nothing")
+	}
+}
+
+// TestSnapshotLoadsKeysOfOlderSchema: snapshots written before RunKey
+// dropped its materialization-cap field carry it as 0 in every entry key.
+// Such a document must still load — from disk and over the merge path —
+// under the key the engine derives today, so the same run is served as a
+// cache hit.
+func TestSnapshotLoadsKeysOfOlderSchema(t *testing.T) {
+	w := workloads.NewCG("A", 2)
+	m := machine.PlatformA()
+	st := StrategySlowestOnly()
+	opts := app.Options{Ranks: 2, Seed: 1}
+	key := keyFor(w, m, st.cacheKey(), opts)
+	str := func(s string) string {
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	doc := `{"version":1,"entries":[{"key":{"Workload":` + str(key.Workload) +
+		`,"Spec":"","Machine":` + str(key.Machine) +
+		`,"Strategy":"static:nvm-only","Ranks":2,"RPN":0,"Seed":1,"MatCap":0,"Chunk":0},` +
+		`"result":{"Workload":"CG","Manager":"nvm-only","TimeNS":4242},"completed_at_ns":1}]}`
+
+	loaded := NewRunCache()
+	path := filepath.Join(t.TempDir(), "runcache.json")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := loaded.LoadSnapshot(path); err != nil || n != 1 {
+		t.Fatalf("LoadSnapshot = %d, %v; want 1 entry", n, err)
+	}
+	merged := NewRunCache()
+	if ms, err := merged.MergeSnapshot([]byte(doc)); err != nil || ms.Added != 1 {
+		t.Fatalf("MergeSnapshot = %+v, %v; want Added 1", ms, err)
+	}
+
+	for name, c := range map[string]*RunCache{"load": loaded, "merge": merged} {
+		res, _, info, err := NewEngine(false, c).ExecuteInfo(context.Background(), w, m, st, core.DefaultConfig(), opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !info.CacheHit || res.TimeNS != 4242 {
+			t.Fatalf("%s: hit=%v time=%d; want the snapshot entry served as a hit", name, info.CacheHit, res.TimeNS)
+		}
+		if cs := c.Stats(); cs.Hits != 1 || cs.Misses != 0 {
+			t.Fatalf("%s: cache stats %+v, want 1 hit and no miss", name, cs)
+		}
 	}
 }

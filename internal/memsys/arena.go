@@ -1,7 +1,7 @@
 // Package memsys implements the heterogeneous memory substrate the Unimem
 // runtime manages: an ordered N-tier heap (tier 0 fastest) with a real
 // free-list allocator per tier, a table of named data objects (optionally
-// partitioned into chunks), the migration mechanics that move object bytes
+// partitioned into chunks), the migration mechanics that move chunks
 // between any two tiers, and the user-level per-node coordination services
 // of the shared fast tiers — the generalization of the §3.3 DRAM service
 // (on the paper's two-tier platforms the layout is exactly the paper's:
@@ -9,12 +9,12 @@
 // rank).
 //
 // Object sizes and arena capacities are *simulated* byte counts (so Class
-// C/D footprints of many gigabytes can be modelled). A chunk can also carry
-// a real backing buffer, capped at a configurable materialization limit and
-// allocated when a caller first touches the chunk's data (Chunk.Data,
-// Chunk.StoreF64); from then on migrations genuinely copy its bytes.
-// Simulated runs read only sizes, tiers and simulated addresses, so their
-// chunks never materialize and migrate without copying.
+// C/D footprints of many gigabytes can be modelled). Chunks carry no real
+// bytes: NVM is modelled as pure timing, so a chunk is its size, tier,
+// arena offset and simulated address, and a migration rewrites its
+// residence and statistics. Migrations are requested by the mover's
+// helper thread, a virtual timeline that the owning rank's goroutine
+// applies at its synchronization points, not a goroutine of its own.
 package memsys
 
 import (

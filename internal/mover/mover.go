@@ -1,23 +1,19 @@
 // Package mover implements Unimem's proactive data movement mechanism
-// (§3.1.2 "Calculation of data movement cost" and §3.3): a helper thread —
-// a real goroutine — that runs in parallel with the application, consuming
-// migration requests from a shared FIFO queue, and serving as the
-// synchronization point the main thread checks at the beginning of each
-// phase. The migrations themselves are applied to the simulated heap at
-// those synchronization points, in queue order, so simulated results do
-// not depend on goroutine scheduling (see Mover's determinism contract).
+// (§3.1.2 "Calculation of data movement cost" and §3.3): the helper thread
+// that copies data in parallel with the application, fed from a FIFO
+// queue the main thread checks at the beginning of each phase.
 //
-// Time accounting is in virtual nanoseconds: a migration occupies the
-// helper thread for the (fromTier, toTier) edge's copy time on the
+// The helper thread is a virtual timeline, not a goroutine. Requests wait
+// in a per-rank FIFO and are applied to the simulated heap, in queue
+// order, at the main thread's synchronization points; a migration occupies
+// the timeline for the (fromTier, toTier) edge's copy time on the
 // machine's tier graph, starting no earlier than both its enqueue point
-// and the helper's previous completion. The portion of a migration not
+// and the previous copy's completion. The portion of a migration not
 // finished by the time the main thread needs it is the exposed
 // (non-overlapped) cost — Eq. 4's COST after overlap.
 package mover
 
 import (
-	"sync"
-
 	"unimem/internal/machine"
 	"unimem/internal/memsys"
 )
@@ -80,104 +76,44 @@ func (s Stats) OverlapFrac() float64 {
 // SyncCheckNS is the main-thread cost of one queue-status check.
 const SyncCheckNS = 200
 
-// Mover owns the helper thread for one rank.
+// Mover is one rank's helper thread: a FIFO of migration requests and the
+// virtual timeline that copies them.
 //
-// Determinism contract: the helper goroutine consumes the FIFO, but a
-// request's effect on the simulated heap (the tier change TierOf observes)
-// is applied only at the main thread's synchronization points — Drain at
-// each phase boundary, Sync for dependence-required tickets, Stop at loop
-// end — in FIFO order. The virtual copy timeline (freeAtNS, exposed
-// stalls) depends only on enqueue times and queue order, so results are
-// bit-identical regardless of how the goroutines are scheduled; this is
-// what lets the experiment engine run many simulated worlds concurrently.
+// Only the owning rank's goroutine touches a Mover. A request's effect on
+// the simulated heap (the tier change TierOf observes) is applied at that
+// goroutine's synchronization points — Drain at each phase boundary, Sync
+// for dependence-required tickets, Stop at loop end — in FIFO order. The
+// virtual copy timeline (freeAtNS, exposed stalls) depends only on enqueue
+// times and queue order, so results are a pure function of the virtual
+// schedule; this is what lets the experiment engine run many simulated
+// worlds concurrently.
 type Mover struct {
-	heap *memsys.Heap
-	reqs chan Request
-
-	mu          sync.Mutex
-	cond        *sync.Cond
+	heap        *memsys.Heap
 	freeAtNS    int64  // helper's virtual availability
 	nextSeq     uint64 // last ticket handed out by Enqueue
-	recvSeq     uint64 // last ticket the helper pulled off the FIFO
-	doneSeq     uint64 // last ticket applied to the heap
 	pending     []Request
 	completions map[uint64]Completion
 	stats       Stats
-	running     bool
-	wg          sync.WaitGroup
 	observer    func(Completion)
 }
 
-// SetObserver registers a callback invoked (under the mover's lock, at
-// the deterministic apply points) for every completion — the tracing
-// hook that turns migrations into timeline spans. Must be set before
-// Start; nil disables. The callback must not call back into the Mover.
-func (m *Mover) SetObserver(fn func(Completion)) {
-	m.mu.Lock()
-	m.observer = fn
-	m.mu.Unlock()
-}
+// SetObserver registers a callback invoked at the apply points for every
+// completion — the tracing hook that turns migrations into timeline
+// spans. nil disables. The callback must not call back into the Mover.
+func (m *Mover) SetObserver(fn func(Completion)) { m.observer = fn }
 
-// New returns a mover for the heap. Start must be called before Enqueue.
+// New returns a mover for the heap.
 func New(h *memsys.Heap) *Mover {
-	m := &Mover{
-		heap:        h,
-		reqs:        make(chan Request, 256),
-		completions: make(map[uint64]Completion),
-	}
-	m.cond = sync.NewCond(&m.mu)
-	return m
+	return &Mover{heap: h, completions: make(map[uint64]Completion)}
 }
 
-// Start launches the helper thread (invoked from unimem_init in the paper).
-func (m *Mover) Start() {
-	m.mu.Lock()
-	if m.running {
-		m.mu.Unlock()
-		return
-	}
-	m.running = true
-	m.mu.Unlock()
-	m.wg.Add(1)
-	go m.run()
-}
+// Stop applies every outstanding move (unimem_end in the paper).
+func (m *Mover) Stop() { m.apply(m.nextSeq) }
 
-// Stop drains the queue, applies every outstanding move, and terminates
-// the helper thread.
-func (m *Mover) Stop() {
-	m.mu.Lock()
-	if !m.running {
-		m.mu.Unlock()
-		return
-	}
-	m.running = false
-	upto := m.nextSeq
-	m.mu.Unlock()
-	close(m.reqs)
-	m.wg.Wait()
-	m.mu.Lock()
-	m.applyLocked(upto)
-	m.mu.Unlock()
-}
-
-// run is the helper thread's loop: pull requests off the FIFO into the
-// pending queue and wake any synchronization-point waiter.
-func (m *Mover) run() {
-	defer m.wg.Done()
-	for req := range m.reqs {
-		m.mu.Lock()
-		m.pending = append(m.pending, req)
-		m.recvSeq = req.seq
-		m.cond.Broadcast()
-		m.mu.Unlock()
-	}
-}
-
-// applyLocked pops pending requests with seq <= upto and applies them in
-// FIFO order: move the chunk on the heap, advance the virtual copy timeline,
-// post the completion. Caller holds m.mu and must have waited for
-// recvSeq >= upto.
-func (m *Mover) applyLocked(upto uint64) {
+// apply pops pending requests with seq <= upto and applies them in FIFO
+// order: move the chunk on the heap, advance the virtual copy timeline,
+// post the completion.
+func (m *Mover) apply(upto uint64) {
 	for len(m.pending) > 0 && m.pending[0].seq <= upto {
 		req := m.pending[0]
 		m.pending = m.pending[1:]
@@ -203,7 +139,6 @@ func (m *Mover) applyLocked(upto uint64) {
 		m.freeAtNS = end
 		comp := Completion{Req: req, From: from, StartNS: start, EndNS: end, BytesMoved: bytes, Err: err}
 		m.completions[req.seq] = comp
-		m.doneSeq = req.seq
 		if m.observer != nil {
 			m.observer(comp)
 		}
@@ -215,30 +150,22 @@ func (m *Mover) applyLocked(upto uint64) {
 // "checking the queue status and putting data movement requests into the
 // queue is lightweight").
 func (m *Mover) Enqueue(c *memsys.Chunk, to machine.TierKind, nowNS int64) uint64 {
-	m.mu.Lock()
 	m.nextSeq++
-	seq := m.nextSeq
 	m.stats.Enqueued++
-	m.mu.Unlock()
-	m.reqs <- Request{Chunk: c, To: to, EnqueueNS: nowNS, seq: seq}
-	return seq
+	m.pending = append(m.pending, Request{Chunk: c, To: to, EnqueueNS: nowNS, seq: m.nextSeq})
+	return m.nextSeq
 }
 
-// Sync blocks (in real time) until all requests up to and including seq
-// have been processed, then returns the virtual stall the main thread
-// suffers at virtual time nowNS: how far the last relevant completion lies
-// in the virtual future. A fully overlapped migration returns 0.
+// Sync applies all requests up to and including seq, then returns the
+// virtual stall the main thread suffers at virtual time nowNS: how far the
+// last relevant completion lies in the virtual future. A fully overlapped
+// migration returns 0.
 //
 // Pass seq 0 to just perform the per-phase queue-status check (which still
 // costs SyncCheckNS on the critical path).
 func (m *Mover) Sync(seq uint64, nowNS int64) (stallNS int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.stats.SyncChecks++
-	for m.recvSeq < seq {
-		m.cond.Wait()
-	}
-	m.applyLocked(seq)
+	m.apply(seq)
 	var latest int64
 	for s := seq; s > 0; s-- {
 		c, ok := m.completions[s]
@@ -258,37 +185,18 @@ func (m *Mover) Sync(seq uint64, nowNS int64) (stallNS int64) {
 	return 0
 }
 
-// Drain blocks (in real time) until every request enqueued so far has been
-// applied to the heap, without charging any virtual time. The runtime
-// calls it at each phase boundary so that a migration's heap-state effect
-// becomes visible at a deterministic virtual point (the boundary after its
-// enqueue) instead of whenever the helper goroutine happens to be
-// scheduled — the virtual copy timeline (freeAtNS, exposed stalls) is
-// unaffected.
-func (m *Mover) Drain() {
-	m.mu.Lock()
-	upto := m.nextSeq
-	for m.recvSeq < upto {
-		m.cond.Wait()
-	}
-	m.applyLocked(upto)
-	m.mu.Unlock()
-}
+// Drain applies every request enqueued so far to the heap, without
+// charging any virtual time. The runtime calls it at each phase boundary
+// so that a migration's heap-state effect becomes visible at a
+// deterministic virtual point (the boundary after its enqueue); the
+// virtual copy timeline (freeAtNS, exposed stalls) is unaffected.
+func (m *Mover) Drain() { m.apply(m.nextSeq) }
 
-// Idle reports whether the helper thread has nothing in flight: every
-// ticket handed out has been applied to the heap and the FIFO is empty.
-// The analytic fast path requires an idle mover before fast-forwarding —
-// an in-flight migration's exposed cost would otherwise be extrapolated
-// into iterations that should have absorbed it once.
-func (m *Mover) Idle() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.doneSeq == m.nextSeq && len(m.pending) == 0
-}
+// Idle reports whether the helper thread has nothing in flight: the FIFO
+// is empty. The analytic fast path requires an idle mover before
+// fast-forwarding — an in-flight migration's exposed cost would otherwise
+// be extrapolated into iterations that should have absorbed it once.
+func (m *Mover) Idle() bool { return len(m.pending) == 0 }
 
 // Stats returns a snapshot of the mover's accounting.
-func (m *Mover) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
-}
+func (m *Mover) Stats() Stats { return m.stats }

@@ -16,7 +16,6 @@ func TestMoveCompletesAndAccounts(t *testing.T) {
 	h := testHeap()
 	o, _ := h.Alloc("a", 32<<20, memsys.AllocOptions{InitialTier: machine.NVM})
 	mv := New(h)
-	mv.Start()
 	defer mv.Stop()
 
 	seq := mv.Enqueue(o.Chunks[0], machine.DRAM, 0)
@@ -42,7 +41,6 @@ func TestFullyOverlappedMove(t *testing.T) {
 	h := testHeap()
 	o, _ := h.Alloc("a", 16<<20, memsys.AllocOptions{InitialTier: machine.NVM})
 	mv := New(h)
-	mv.Start()
 	defer mv.Stop()
 
 	seq := mv.Enqueue(o.Chunks[0], machine.DRAM, 0)
@@ -61,7 +59,6 @@ func TestFIFOSerialization(t *testing.T) {
 	a, _ := h.Alloc("a", 16<<20, memsys.AllocOptions{InitialTier: machine.NVM})
 	b, _ := h.Alloc("b", 16<<20, memsys.AllocOptions{InitialTier: machine.NVM})
 	mv := New(h)
-	mv.Start()
 	defer mv.Stop()
 
 	mv.Enqueue(a.Chunks[0], machine.DRAM, 0)
@@ -79,7 +76,6 @@ func TestFailedMoveReported(t *testing.T) {
 	h := memsys.NewHeap(m, memsys.NewNodeTiers(m), memsys.HeapOptions{})
 	o, _ := h.Alloc("big", 64<<20, memsys.AllocOptions{InitialTier: machine.NVM})
 	mv := New(h)
-	mv.Start()
 	defer mv.Stop()
 
 	seq := mv.Enqueue(o.Chunks[0], machine.DRAM, 0)
@@ -98,7 +94,6 @@ func TestFailedMoveReported(t *testing.T) {
 func TestSyncZeroIsCheapCheck(t *testing.T) {
 	h := testHeap()
 	mv := New(h)
-	mv.Start()
 	defer mv.Stop()
 	if stall := mv.Sync(0, 12345); stall != 0 {
 		t.Fatalf("empty sync stalled %d", stall)
@@ -111,7 +106,6 @@ func TestSyncZeroIsCheapCheck(t *testing.T) {
 func TestStopDrains(t *testing.T) {
 	h := testHeap()
 	mv := New(h)
-	mv.Start()
 	objs := make([]*memsys.Object, 8)
 	for i := range objs {
 		objs[i], _ = h.Alloc(string(rune('a'+i)), 4<<20, memsys.AllocOptions{InitialTier: machine.NVM})
@@ -126,16 +120,17 @@ func TestStopDrains(t *testing.T) {
 	if mv.Stats().Completed != 8 {
 		t.Fatalf("completed %d, want 8", mv.Stats().Completed)
 	}
-	// Stop is idempotent; Start after Stop is a no-op we don't support,
-	// but calling Stop twice must not hang or panic.
+	// Stop is idempotent: a second call finds nothing to apply.
 	mv.Stop()
+	if mv.Stats().Completed != 8 || !mv.Idle() {
+		t.Fatalf("second Stop changed state: %+v", mv.Stats())
+	}
 }
 
 func TestHelperTimelineAdvances(t *testing.T) {
 	h := testHeap()
 	a, _ := h.Alloc("a", 8<<20, memsys.AllocOptions{InitialTier: machine.NVM})
 	mv := New(h)
-	mv.Start()
 	defer mv.Stop()
 
 	// Enqueue at t=1e6: copy occupies [1e6, 1e6+copy).
@@ -158,7 +153,6 @@ func TestRoundTrip(t *testing.T) {
 	h := testHeap()
 	o, _ := h.Alloc("rt", 8<<20, memsys.AllocOptions{InitialTier: machine.NVM})
 	mv := New(h)
-	mv.Start()
 	defer mv.Stop()
 	s1 := mv.Enqueue(o.Chunks[0], machine.DRAM, 0)
 	s2 := mv.Enqueue(o.Chunks[0], machine.NVM, 0)
@@ -177,7 +171,6 @@ func TestMultiTierMoveUsesEdgeBandwidth(t *testing.T) {
 	h := memsys.NewHeap(m, memsys.NewNodeTiers(m), memsys.HeapOptions{})
 	o, _ := h.Alloc("a", 32<<20, memsys.AllocOptions{InitialTier: 1})
 	mv := New(h)
-	mv.Start()
 	defer mv.Stop()
 
 	// DDR -> HBM runs on the fast HBM<->DDR edge, not the hierarchy-wide

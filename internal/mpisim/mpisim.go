@@ -44,9 +44,9 @@
 // panics with a private sentinel that Run recovers and swallows (ranks
 // parked mid-operation wake and unwind the same way), so a cancelled run
 // tears down promptly without ever returning nil payloads that could be
-// mistaken for genuine empty messages. Harness code that must clean up
-// per-rank state on that path (stopping helper threads) recovers the
-// sentinel itself — see IsAbort.
+// mistaken for genuine empty messages. Rank bodies that must clean up
+// per-rank state on that path can recover the sentinel themselves — see
+// IsAbort.
 //
 // It also provides the PMPI-style interposition layer of the paper's
 // Fig. 7: every MPI operation first invokes the registered hook, which is
@@ -137,8 +137,8 @@ type abortPanic struct{}
 func (abortPanic) String() string { return "mpisim: world aborted" }
 
 // IsAbort reports whether a recovered panic value is the world-abort
-// sentinel. Rank bodies that own external resources (helper goroutines)
-// recover it to clean up, then re-panic or return; Run swallows it.
+// sentinel. Rank bodies that own external resources recover it to clean
+// up, then re-panic or return; Run swallows it.
 func IsAbort(p interface{}) bool {
 	_, ok := p.(abortPanic)
 	return ok

@@ -14,6 +14,10 @@
 // counter emulation); this package is how we keep those counts honest —
 // the workload generators' cache-attenuation model (workloads.atten) was
 // fitted against, and is regression-tested by, these replays.
+//
+// Together with internal/trace and internal/cachesim it forms the
+// test-only model-fidelity harness: nothing outside tests imports the
+// three packages, and no simulated run executes them.
 package profiler
 
 import (
@@ -130,8 +134,7 @@ func nominalRefs(declared int64, size int64, llc int64, p machine.Pattern) int64
 func Validate(w *workloads.Workload, opts Options) (*Report, error) {
 	opts.fill()
 	mach := machine.PlatformA()
-	heap := memsys.NewHeap(mach, memsys.NewNodeTiers(mach),
-		memsys.HeapOptions{MaterializeCap: 4096})
+	heap := memsys.NewHeap(mach, memsys.NewNodeTiers(mach), memsys.HeapOptions{})
 	for _, os := range w.Objects {
 		if _, err := heap.Alloc(os.Name, os.Size, memsys.AllocOptions{InitialTier: mach.SlowestIdx()}); err != nil {
 			return nil, fmt.Errorf("profiler: alloc %s: %w", os.Name, err)

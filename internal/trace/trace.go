@@ -3,9 +3,13 @@
 // pointer-chasing — the same taxonomy whose memory-level parallelism makes
 // an object bandwidth-sensitive or latency-sensitive (machine.Pattern.MLP,
 // feeding the Eq. 2/3 benefit estimates). Traces address the stable
-// simulated address range of a memsys chunk and are consumed by the
-// cachesim validation tests and by the trace-driven profiling mode of the
-// counter emulation.
+// simulated address range of a memsys chunk.
+//
+// Together with internal/profiler and internal/cachesim it forms the
+// test-only model-fidelity harness: its traces are consumed by
+// profiler.Validate and the cachesim validation tests. Nothing outside
+// tests imports the three packages; the counter emulation that simulated
+// runs use prices the workloads' declared access counts directly.
 //
 // Generation is deterministic given the caller's xrand stream, like every
 // other stochastic input in the repository.

@@ -9,9 +9,9 @@
 // Eq. 1-4 performance models, knapsack placement via phase-local and
 // cross-phase global search, proactive helper-thread migration) together
 // with the simulated substrate it manages: an N-tier memory hierarchy
-// with lazily materialized byte backing (the paper's two-tier DRAM+NVM
-// system as the degenerate case, plus HBM/DDR/CXL/NVM presets placed by a
-// multiple-choice knapsack), an MPI-like world of goroutine ranks with
+// modelled as pure timing over simulated byte counts (the paper's
+// two-tier DRAM+NVM system as the degenerate case, plus HBM/DDR/CXL/NVM
+// presets placed by a multiple-choice knapsack), an MPI-like world of goroutine ranks with
 // virtual clocks, emulated sampling performance counters, the NPB/Nek5000
 // evaluation workloads, the X-Mem baseline, and a harness that
 // regenerates every table and figure of the paper's evaluation.
@@ -128,8 +128,8 @@ type Workload = workloads.Workload
 // migration statistics, phase profile.
 type Result = app.Result
 
-// Options configures a run (world size, seed, materialization cap,
-// optional trace recorder).
+// Options configures a run (world size, seed, chunk size, optional trace
+// recorder).
 type Options = app.Options
 
 // Trace is a per-run span recorder: attach one via Options.Trace (or
