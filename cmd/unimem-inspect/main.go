@@ -230,12 +230,8 @@ func main() {
 		}
 		fmt.Printf("\nwinning strategy: %s\n", plan.Strategy)
 		printed := map[string]bool{}
-		for pid, set := range plan.Desired {
-			names := make([]string, 0, len(set))
-			for n := range set {
-				names = append(names, n)
-			}
-			sort.Strings(names)
+		for pid := range plan.Desired {
+			names := plan.DesiredNames(pid)
 			key := fmt.Sprint(names)
 			if printed[key] {
 				continue

@@ -41,6 +41,10 @@ type RankCtx struct {
 	// re-profile triggers). Nil in normal runs; never affects simulated
 	// time.
 	Explain *obs.Explain
+
+	// traffic is ExpandTraffic's per-rank output buffer, reused by every
+	// phase of every iteration.
+	traffic []counters.ChunkTraffic
 }
 
 // Manager is a data-placement policy driving one rank's heap. The harness
@@ -52,6 +56,9 @@ type RankCtx struct {
 // PhaseBegin may advance the rank's virtual clock (migration stall, queue
 // checks); PhaseEnd receives the measured execution duration and the
 // ground-truth traffic and may also advance the clock (profiling overhead).
+// The traffic slice is the rank's reused ExpandTraffic buffer: it is valid
+// only during the PhaseEnd call, so a manager that keeps it must copy it
+// (as Recorder does).
 type Manager interface {
 	Name() string
 	Setup(ctx *RankCtx) error
@@ -270,14 +277,11 @@ func RunCtx(ctx context.Context, w *workloads.Workload, m *machine.Machine, opts
 				mgr.PhaseBegin(rc, ph.Name, ph.Kind, ph.Comm.String())
 
 				start := c.Clock()
-				refs := ph.Refs(iter)
-				if f := ph.RankScale(rank, opts.Ranks); f != 1 {
-					refs = scaleRefs(refs, f)
-				}
-				traffic, serviceNS := ExpandTraffic(rc, refs)
+				scale := ph.RankScale(rank, opts.Ranks)
+				traffic, serviceNS := ExpandTraffic(rc, ph.Refs(iter), scale)
 				c.Advance(int64(serviceNS))
 				execComm(c, ph, iter)
-				c.Advance(int64(m.ComputeTimeNS(ph.Flops * ph.RankScale(rank, opts.Ranks))))
+				c.Advance(int64(m.ComputeTimeNS(ph.Flops * scale)))
 				dur := float64(c.Clock() - start)
 
 				if rank == 0 {
@@ -338,20 +342,6 @@ func RunCtx(ctx context.Context, w *workloads.Workload, m *machine.Machine, opts
 	return res, nil
 }
 
-// scaleRefs returns a copy of refs with access counts scaled by f (floored
-// at one access, like the workload builders do), for rank-imbalanced phases.
-func scaleRefs(refs []phase.Ref, f float64) []phase.Ref {
-	out := make([]phase.Ref, len(refs))
-	for i, r := range refs {
-		r.Accesses = int64(float64(r.Accesses) * f)
-		if r.Accesses < 1 {
-			r.Accesses = 1
-		}
-		out[i] = r
-	}
-	return out
-}
-
 // execComm performs the phase's MPI operation on the rank's communicator,
 // at the iteration's scheduled communication volume.
 func execComm(c *mpisim.Comm, ph *workloads.Phase, iter int) {
@@ -387,17 +377,25 @@ func execComm(c *mpisim.Comm, ph *workloads.Phase, iter int) {
 
 // ExpandTraffic converts a phase's per-object access descriptors into
 // per-chunk ground-truth traffic under the heap's current placement, and
-// returns the total memory service time. Accesses distribute across an
-// object's chunks proportionally to chunk size (uniform within the object,
-// which is the paper's assumption when it partitions 1-D arrays with
-// regular references).
-func ExpandTraffic(ctx *RankCtx, refs []phase.Ref) ([]counters.ChunkTraffic, float64) {
-	var out []counters.ChunkTraffic
+// returns the total memory service time. A scale other than 1 (a
+// rank-imbalanced phase) first scales each descriptor's accesses, floored
+// at one access like the workload builders do. Accesses distribute across
+// an object's chunks proportionally to chunk size (uniform within the
+// object, which is the paper's assumption when it partitions 1-D arrays
+// with regular references).
+//
+// The returned slice is the rank's reused buffer: the next call on the
+// same RankCtx overwrites it.
+func ExpandTraffic(ctx *RankCtx, refs []phase.Ref, scale float64) ([]counters.ChunkTraffic, float64) {
+	out := ctx.traffic[:0]
 	var totalNS float64
 	for _, r := range refs {
 		obj := ctx.Heap.Lookup(r.Object)
 		if obj == nil {
 			panic(fmt.Sprintf("app: phase references unknown object %q", r.Object))
+		}
+		if scale != 1 {
+			r.Accesses = max(int64(float64(r.Accesses)*scale), 1)
 		}
 		for _, ch := range obj.Chunks {
 			acc := r.Accesses
@@ -411,6 +409,7 @@ func ExpandTraffic(ctx *RankCtx, refs []phase.Ref) ([]counters.ChunkTraffic, flo
 			svc := ctx.Mach.MemTimeNS(tier, acc, r.Pattern, r.ReadFrac)
 			totalNS += svc
 			out = append(out, counters.ChunkTraffic{
+				ID:         ch.ID,
 				Chunk:      ch.Name(),
 				Object:     obj.Name,
 				ChunkIndex: ch.Index,
@@ -421,5 +420,6 @@ func ExpandTraffic(ctx *RankCtx, refs []phase.Ref) ([]counters.ChunkTraffic, flo
 			})
 		}
 	}
+	ctx.traffic = out
 	return out, totalNS
 }

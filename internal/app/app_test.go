@@ -6,6 +6,8 @@ import (
 	"unimem/internal/app"
 	"unimem/internal/core"
 	"unimem/internal/machine"
+	"unimem/internal/memsys"
+	"unimem/internal/phase"
 	"unimem/internal/workloads"
 )
 
@@ -137,4 +139,39 @@ func TestExpandTrafficSplitsChunks(t *testing.T) {
 	// The partitioned FT arrays must appear as per-chunk traffic — checked
 	// indirectly: a Unimem run migrates chunk-named pieces (see table4
 	// test in exp); here we just assert the run completes with chunking on.
+}
+
+// TestExpandTrafficReusesBuffer: ExpandTraffic emits one entry per chunk
+// carrying the chunk's ID and name, and it fills the rank's reused buffer,
+// so once the buffer has grown to a phase's size a repeat call allocates
+// nothing.
+func TestExpandTrafficReusesBuffer(t *testing.T) {
+	m := machine.PlatformA()
+	heap := memsys.NewHeap(m, memsys.NewNodeTiers(m), memsys.HeapOptions{})
+	big, err := heap.Alloc("big", 64<<20, memsys.AllocOptions{Partitionable: true, ChunkSize: 16 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := heap.Alloc("small", 4<<20, memsys.AllocOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &app.RankCtx{Mach: m, Heap: heap}
+	refs := []phase.Ref{
+		{Object: "small", Accesses: 1000, ReadFrac: 1, Pattern: machine.Random},
+		{Object: "big", Accesses: 4000, ReadFrac: 0.5, Pattern: machine.Stream},
+	}
+	traffic, _ := app.ExpandTraffic(ctx, refs, 1)
+	want := append([]*memsys.Chunk{small.Chunks[0]}, big.Chunks...)
+	if len(traffic) != len(want) {
+		t.Fatalf("%d traffic entries, want %d", len(traffic), len(want))
+	}
+	for i, c := range want {
+		if traffic[i].ID != c.ID || traffic[i].Chunk != c.Name() || traffic[i].Accesses <= 0 {
+			t.Errorf("entry %d = %+v, want chunk %d (%s)", i, traffic[i], c.ID, c.Name())
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { app.ExpandTraffic(ctx, refs, 0.5) }); allocs != 0 {
+		t.Fatalf("a steady-state ExpandTraffic call made %.0f allocations, want 0", allocs)
+	}
 }

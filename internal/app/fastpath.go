@@ -172,7 +172,7 @@ func (fp *fastPath) observePhase(pi int, ph *workloads.Phase, iter int, durNS fl
 	ck := ph.ContentKey(iter)
 	d := phase.NewDigest().Uint64(uint64(ck))
 	for _, t := range traffic {
-		d = d.String(t.Chunk).
+		d = d.Int(t.ID).
 			Int64(t.Accesses).
 			Float64(t.ServiceNS).
 			Float64(t.ReadFrac).

@@ -127,8 +127,14 @@ type Runtime struct {
 	// re-forms.
 	decisionIter int
 
-	chunkByName map[string]*memsys.Chunk
-	chunkSize   map[string]int64
+	// chunks lists every chunk in sort.Strings order of the names: an
+	// index here is a chunk's name rank, the placement searches' index
+	// space. names and sizes mirror it, and rankOf maps a heap chunk ID to
+	// its name rank. Setup builds all four.
+	chunks []*memsys.Chunk
+	names  []string
+	sizes  []int64
+	rankOf []int
 
 	overheadNS float64
 	// Decisions counts placement decisions taken (1 + re-profiles).
@@ -141,9 +147,9 @@ type Runtime struct {
 	// Candidates holds every plan the latest decision considered (for
 	// inspection tooling).
 	Candidates []*placement.Plan
-	// explicitDeps holds programmer-declared cross-phase dependences
-	// (directive API, §3.3): chunk -> extra phase IDs that reference it.
-	explicitDeps map[string][]int
+	// deps holds programmer-declared cross-phase dependences (directive
+	// API, §3.3).
+	deps []declaredDep
 
 	// expl receives this rank's decision attribution (nil when disabled:
 	// every capture site below guards on it, so the disabled path costs
@@ -159,6 +165,14 @@ type Runtime struct {
 	// the main rank goroutine (completions apply at Drain/Sync/Stop), so
 	// the map needs no lock.
 	moveMeta map[uint64]moveMeta
+}
+
+// declaredDep is one DeclareDep directive: phase references the chunk
+// named name, whose name rank is chunk once Setup has ranked the chunks
+// (-1 until then, or when the heap has no such chunk).
+type declaredDep struct {
+	name         string
+	chunk, phase int
 }
 
 // moveMeta is the enqueue-time metadata of one audited migration.
@@ -181,9 +195,6 @@ func NewRuntime(rank int, cfg Config) *Runtime {
 		pendingSeq:    make(map[int]uint64),
 		oneShot:       make(map[int][]placement.Move),
 		oneShotTiered: make(map[int][]tieredMove),
-		chunkByName:   make(map[string]*memsys.Chunk),
-		chunkSize:     make(map[string]int64),
-		explicitDeps:  make(map[string][]int),
 		moveMeta:      make(map[uint64]moveMeta),
 	}
 }
@@ -203,12 +214,11 @@ func (r *Runtime) Rank() int { return r.rank }
 // sorted; an introspection hook for tooling and tests.
 func (r *Runtime) DRAMResidents() []string {
 	var out []string
-	for name, in := range r.heap.ResidencySnapshot() {
-		if in {
-			out = append(out, name)
+	for i, c := range r.chunks {
+		if r.heap.TierOf(c) == 0 {
+			out = append(out, r.names[i])
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -225,9 +235,6 @@ func (r *Runtime) TierPlan() *placement.TieredPlan { return r.tierPlan }
 // TierResidencyBytes returns this rank's current resident bytes per tier.
 func (r *Runtime) TierResidencyBytes() []int64 { return r.heap.TierResidencyBytes() }
 
-// TierResidents returns chunk name -> current tier for this rank.
-func (r *Runtime) TierResidents() map[string]machine.TierKind { return r.heap.TierSnapshot() }
-
 // MoverStats exposes the helper thread's accounting.
 func (r *Runtime) MoverStats() mover.Stats { return r.mov.Stats() }
 
@@ -236,7 +243,15 @@ func (r *Runtime) MoverStats() mover.Stats { return r.mov.Stats() }
 // directive-based dependency escape hatch). It conservatively shrinks
 // overlap windows for that chunk.
 func (r *Runtime) DeclareDep(chunk string, phaseID int) {
-	r.explicitDeps[chunk] = append(r.explicitDeps[chunk], phaseID)
+	r.deps = append(r.deps, declaredDep{name: chunk, chunk: r.rankOfName(chunk), phase: phaseID})
+}
+
+// rankOfName returns the name rank of the named chunk, or -1.
+func (r *Runtime) rankOfName(name string) int {
+	if i := sort.SearchStrings(r.names, name); i < len(r.names) && r.names[i] == name {
+		return i
+	}
+	return -1
 }
 
 // Setup implements app.Manager: unimem_init + the unimem_malloc calls,
@@ -338,10 +353,20 @@ func (r *Runtime) Setup(ctx *app.RankCtx) error {
 		if err != nil {
 			return err
 		}
-		for _, c := range obj.Chunks {
-			r.chunkByName[c.Name()] = c
-			r.chunkSize[c.Name()] = c.Size
-		}
+		r.chunks = append(r.chunks, obj.Chunks...)
+	}
+	// Rank the chunks by name, the order every placement tie-break follows
+	// (x[10] before x[2]). The heap holds only these chunks, so their IDs
+	// are 0..n-1.
+	sort.SliceStable(r.chunks, func(a, b int) bool { return r.chunks[a].Name() < r.chunks[b].Name() })
+	r.rankOf = make([]int, len(r.chunks))
+	for i, c := range r.chunks {
+		r.names = append(r.names, c.Name())
+		r.sizes = append(r.sizes, c.Size)
+		r.rankOf[c.ID] = i
+	}
+	for i := range r.deps {
+		r.deps[i].chunk = r.rankOfName(r.deps[i].name)
 	}
 	return nil
 }
@@ -427,10 +452,11 @@ func (r *Runtime) enforceAt(ctx *app.RankCtx, pid int) {
 	}
 }
 
-// tieredMove is one adoption move of the N-tier placement: migrate chunk
-// to tier `to`, required complete before phase `target` (-1: no deadline).
+// tieredMove is one adoption move of the N-tier placement: migrate the
+// chunk of name rank `chunk` to tier `to`, required complete before phase
+// `target` (-1: no deadline).
 type tieredMove struct {
-	chunk  string
+	chunk  int
 	to     machine.TierKind
 	target int
 }
@@ -439,10 +465,7 @@ type tieredMove struct {
 // skipping chunks already in place. trigger classifies the move for the
 // migration audit trail.
 func (r *Runtime) enqueueTieredMove(ctx *app.RankCtx, mv tieredMove, trigger string) {
-	c := r.chunkByName[mv.chunk]
-	if c == nil {
-		return
-	}
+	c := r.chunks[mv.chunk]
 	from := r.heap.TierOf(c)
 	if from == mv.to {
 		return
@@ -458,10 +481,7 @@ func (r *Runtime) enqueueTieredMove(ctx *app.RankCtx, mv tieredMove, trigger str
 }
 
 func (r *Runtime) enqueueMove(ctx *app.RankCtx, mv placement.Move, trigger string) {
-	c := r.chunkByName[mv.Chunk]
-	if c == nil {
-		return
-	}
+	c := r.chunks[mv.Chunk]
 	want := machine.NVM
 	if mv.ToDRAM {
 		want = machine.DRAM
@@ -540,11 +560,13 @@ func (r *Runtime) decide(ctx *app.RankCtx) {
 	r.Decisions++
 
 	phases := r.reg.Phases()
+	n := len(r.chunks)
 	in := &placement.Input{
 		DRAMCapacity:   ctx.Mach.Fastest().CapacityBytes,
-		ChunkSize:      r.chunkSize,
+		Names:          r.names,
+		Size:           r.sizes,
 		Phases:         make([]placement.PhaseData, len(phases)),
-		Resident:       r.heap.ResidencySnapshot(),
+		Resident:       make([]bool, n),
 		CopyTimeNS:     ctx.Mach.CopyTimeNS,
 		OverlapNS:      r.overlapNS,
 		TriggerPhase:   r.triggerPhase,
@@ -553,22 +575,25 @@ func (r *Runtime) decide(ctx *app.RankCtx) {
 		NaivePredictor: r.cfg.NaivePredictor,
 		NoHysteresis:   r.cfg.NoHysteresis,
 	}
+	tiers := make([]machine.TierKind, n)
+	for i, c := range r.chunks {
+		tiers[i] = r.heap.TierOf(c)
+		in.Resident[i] = tiers[i] == machine.DRAM
+	}
+	benefit := make([]float64, len(phases)*n)
 	var modelOps int
 	var terms [][]obs.ChunkTerm
 	if r.expl != nil {
 		terms = make([][]obs.ChunkTerm, len(phases))
 	}
 	for i, p := range phases {
-		pd := placement.PhaseData{DurNS: p.ProfiledNS, Benefit: make(map[string]float64)}
+		pd := placement.PhaseData{DurNS: p.ProfiledNS, Benefit: benefit[i*n : (i+1)*n : (i+1)*n]}
 		if p.Profile != nil {
 			for _, s := range p.Profile.Objects {
-				tier := machine.NVM
-				if c := r.chunkByName[s.Chunk]; c != nil {
-					tier = r.heap.TierOf(c)
-				}
-				est := r.mcfg.EstimateChunk(ctx.Mach, s, p.Profile, tier)
+				c := r.rankOf[s.ID]
+				est := r.mcfg.EstimateChunk(ctx.Mach, s, p.Profile, tiers[c])
 				if est.BenefitNS > 0 {
-					pd.Benefit[s.Chunk] += est.BenefitNS
+					pd.Benefit[c] += est.BenefitNS
 				}
 				modelOps++
 				if terms != nil {
@@ -590,7 +615,7 @@ func (r *Runtime) decide(ctx *app.RankCtx) {
 	// Modeling cost: estimates plus the knapsack DP cells, charged to the
 	// critical path (part of "pure runtime cost").
 	capUnits := int(ctx.Mach.Fastest().CapacityBytes >> 20)
-	modelNS := float64(modelOps)*200 + float64(capUnits*len(r.chunkSize))*20
+	modelNS := float64(modelOps)*200 + float64(capUnits*n)*20
 	decideAt := ctx.Comm.Clock()
 	ctx.Comm.Advance(int64(modelNS))
 	r.overheadNS += modelNS
@@ -608,8 +633,9 @@ func (r *Runtime) decide(ctx *app.RankCtx) {
 		}
 		for i, p := range phases {
 			tb := obs.TermBreakdown{Phase: p.ID, Name: p.Name, Kind: p.Kind.String(), DurNS: p.ProfiledNS}
-			for _, ct := range terms[i] {
-				ct.Chosen = r.plan.Desired[i][ct.Chunk]
+			for k, ct := range terms[i] {
+				// terms[i] has one entry per profiled sample, in order.
+				ct.Chosen = r.plan.Desired[i][r.rankOf[p.Profile.Objects[k].ID]]
 				if ct.Chosen {
 					tb.BenefitNS += ct.BenefitNS
 				}
@@ -644,12 +670,9 @@ func (r *Runtime) decide(ctx *app.RankCtx) {
 			r.enqueueMove(ctx, mv, r.adoptTrigger)
 			continue
 		}
-		target := r.firstReferencing(mv.Chunk)
-		trigger := r.reg.TriggerPhase(mv.Chunk, target)
-		r.oneShot[trigger] = append(r.oneShot[trigger], placement.Move{
-			Chunk: mv.Chunk, ToDRAM: true,
-			TriggerPhase: trigger, TargetPhase: target,
-		})
+		mv.TargetPhase = r.firstReferencing(mv.Chunk)
+		mv.TriggerPhase = r.triggerPhase(mv.Chunk, mv.TargetPhase)
+		r.oneShot[mv.TriggerPhase] = append(r.oneShot[mv.TriggerPhase], mv)
 	}
 }
 
@@ -677,15 +700,19 @@ func (r *Runtime) decideTiered(ctx *app.RankCtx) {
 	nTiers := m.NumTiers()
 	slow := m.SlowestIdx()
 	phases := r.reg.Phases()
-	current := r.heap.TierSnapshot()
+	n := len(r.chunks)
+	current := make([]machine.TierKind, n)
+	for c, ch := range r.chunks {
+		current[c] = r.heap.TierOf(ch)
+	}
 
 	if !r.cfg.EnableGlobal && !r.cfg.EnableLocal {
 		// Placement disabled: adopt the current residency unchanged so
 		// enforcement and the variation monitor behave like the two-tier
 		// "none" plan.
-		assign := make(map[string]int, len(current))
+		assign := make(map[string]int, n)
 		for c, tk := range current {
-			assign[c] = int(tk)
+			assign[r.names[c]] = int(tk)
 		}
 		r.tierPlan = &placement.TieredPlan{Assign: assign, Solver: "none"}
 		r.decisionIter = r.reg.Iter()
@@ -695,8 +722,9 @@ func (r *Runtime) decideTiered(ctx *app.RankCtx) {
 		return
 	}
 
-	// Per-chunk per-tier benefit totals across the profiled iteration.
-	benefit := make(map[string][]float64)
+	// Per-chunk per-tier benefit totals across the profiled iteration:
+	// benefit[c*nTiers+t] for the chunk of name rank c.
+	benefit := make([]float64, n*nTiers)
 	var iterNS float64
 	var modelOps int
 	var terms [][]obs.ChunkTerm
@@ -709,17 +737,10 @@ func (r *Runtime) decideTiered(ctx *app.RankCtx) {
 			continue
 		}
 		for _, s := range p.Profile.Objects {
-			profTier := slow
-			if tk, ok := current[s.Chunk]; ok {
-				profTier = tk
-			}
-			b := benefit[s.Chunk]
-			if b == nil {
-				b = make([]float64, nTiers)
-				benefit[s.Chunk] = b
-			}
+			c := r.rankOf[s.ID]
+			b := benefit[c*nTiers : (c+1)*nTiers]
 			for t := 0; t < nTiers-1; t++ {
-				est := r.mcfg.EstimateChunkAt(m, s, p.Profile, profTier, slow, machine.TierKind(t))
+				est := r.mcfg.EstimateChunkAt(m, s, p.Profile, current[c], slow, machine.TierKind(t))
 				b[t] += est.BenefitNS
 				modelOps++
 				if terms != nil && t == 0 {
@@ -739,20 +760,13 @@ func (r *Runtime) decideTiered(ctx *app.RankCtx) {
 	// Every chunk is a knapsack item — including never-profiled ones,
 	// whose zero benefit lets the solver demote them out of contended
 	// fast tiers when the space earns more elsewhere.
-	names := make([]string, 0, len(r.chunkSize))
-	for c := range r.chunkSize {
-		names = append(names, c)
-	}
-	sort.Strings(names)
-	items := make([]placement.TieredItem, 0, len(names))
-	for _, c := range names {
-		size := r.chunkSize[c]
-		cur := current[c]
-		w := make([]float64, nTiers)
+	items := make([]placement.TieredItem, n)
+	weights := make([]float64, n*nTiers)
+	for c, cur := range current {
+		size := r.sizes[c]
+		w := weights[c*nTiers : (c+1)*nTiers : (c+1)*nTiers]
+		copy(w, benefit[c*nTiers:])
 		for t := range w {
-			if b := benefit[c]; b != nil {
-				w[t] = b[t]
-			}
 			if machine.TierKind(t) != cur {
 				// Eq. 4 on the (cur, t) tier-graph edge: adoption copies
 				// overlap with the whole iteration; the exposed remainder
@@ -764,7 +778,7 @@ func (r *Runtime) decideTiered(ctx *app.RankCtx) {
 				w[t] -= cost / float64(r.cfg.AmortizeIters)
 			}
 		}
-		items = append(items, placement.TieredItem{Chunk: c, Size: size, WeightNS: w})
+		items[c] = placement.TieredItem{Chunk: r.names[c], Size: size, WeightNS: w}
 	}
 	caps := make([]int64, nTiers)
 	for t := 0; t < nTiers-1; t++ {
@@ -798,22 +812,22 @@ func (r *Runtime) decideTiered(ctx *app.RankCtx) {
 
 	// Adoption.
 	r.oneShotTiered = make(map[int][]tieredMove)
-	for _, it := range items {
+	for c, it := range items {
 		want := machine.TierKind(r.tierPlan.Assign[it.Chunk])
-		cur := current[it.Chunk]
+		cur := current[c]
 		if want == cur {
 			continue
 		}
 		if want > cur {
 			// Demotion: freeing contended fast-tier space early is always
 			// safe.
-			r.enqueueTieredMove(ctx, tieredMove{chunk: it.Chunk, to: want, target: -1}, r.adoptTrigger)
+			r.enqueueTieredMove(ctx, tieredMove{chunk: c, to: want, target: -1}, r.adoptTrigger)
 			continue
 		}
-		target := r.firstReferencing(it.Chunk)
-		trigger := r.reg.TriggerPhase(it.Chunk, target)
+		target := r.firstReferencing(c)
+		trigger := r.triggerPhase(c, target)
 		r.oneShotTiered[trigger] = append(r.oneShotTiered[trigger],
-			tieredMove{chunk: it.Chunk, to: want, target: target})
+			tieredMove{chunk: c, to: want, target: target})
 	}
 }
 
@@ -832,8 +846,8 @@ func decisionTrigger(n int) string {
 // knapsack re-solved with pure benefits and zero movement cost — the
 // clairvoyant placement from t=0).
 func (r *Runtime) explainTiered(phases []*phase.Info, terms [][]obs.ChunkTerm,
-	items []placement.TieredItem, benefit map[string][]float64,
-	current map[string]machine.TierKind, caps []int64, iterNS, modelNS float64) {
+	items []placement.TieredItem, benefit []float64,
+	current []machine.TierKind, caps []int64, iterNS, modelNS float64) {
 	nTiers := len(caps)
 	slow := nTiers - 1
 	rec := obs.DecisionRecord{
@@ -846,12 +860,9 @@ func (r *Runtime) explainTiered(phases []*phase.Info, terms [][]obs.ChunkTerm,
 	// oracle's pure-benefit knapsack earns its total weight back off that.
 	oItems := make([]placement.TieredItem, 0, len(items))
 	baseAllSlow := iterNS
-	for _, it := range items {
-		w := make([]float64, nTiers)
-		if b := benefit[it.Chunk]; b != nil {
-			copy(w, b)
-			baseAllSlow += b[int(current[it.Chunk])]
-		}
+	for c, it := range items {
+		w := benefit[c*nTiers : (c+1)*nTiers : (c+1)*nTiers]
+		baseAllSlow += w[current[c]]
 		oItems = append(oItems, placement.TieredItem{Chunk: it.Chunk, Size: it.Size, WeightNS: w})
 	}
 	oracle := placement.SolveTiered(oItems, caps)
@@ -899,11 +910,15 @@ func (r *Runtime) explainTiered(phases []*phase.Info, terms [][]obs.ChunkTerm,
 // decision (top-k by marginal delta).
 const maxRejectedChoices = 8
 
+// The helpers below take a chunk's name rank, the placement searches'
+// index space, and consult the registry by the chunk's heap ID.
+
 // firstReferencing returns the first phase (iteration order) whose profile
 // references the chunk, defaulting to 0.
-func (r *Runtime) firstReferencing(chunk string) int {
+func (r *Runtime) firstReferencing(chunk int) int {
+	id := r.chunks[chunk].ID
 	for _, p := range r.reg.Phases() {
-		if p.References(chunk) {
+		if p.References(id) {
 			return p.ID
 		}
 	}
@@ -912,31 +927,34 @@ func (r *Runtime) firstReferencing(chunk string) int {
 
 // overlapNS is the registry window shrunk by explicit dependence
 // directives.
-func (r *Runtime) overlapNS(chunk string, target int) float64 {
-	w := r.reg.OverlapWindowNS(chunk, target)
-	if len(r.explicitDeps[chunk]) > 0 {
+func (r *Runtime) overlapNS(chunk, target int) float64 {
+	w := r.reg.OverlapWindowNS(r.chunks[chunk].ID, target)
+	if r.declaredDep(chunk, -1) {
 		// Conservative: any declared dependence halves the usable window.
 		w /= 2
 	}
 	return w
 }
 
-func (r *Runtime) triggerPhase(chunk string, target int) int {
-	return r.reg.TriggerPhase(chunk, target)
+func (r *Runtime) triggerPhase(chunk, target int) int {
+	return r.reg.TriggerPhase(r.chunks[chunk].ID, target)
 }
 
-// references exposes the registry's profiled reference map (plus explicit
+// references exposes the registry's profiled reference sets (plus explicit
 // directives) to the placement searches.
-func (r *Runtime) references(chunk string, phaseID int) bool {
+func (r *Runtime) references(chunk, phaseID int) bool {
 	phases := r.reg.Phases()
 	if phaseID < 0 || phaseID >= len(phases) {
 		return false
 	}
-	if phases[phaseID].References(chunk) {
-		return true
-	}
-	for _, pid := range r.explicitDeps[chunk] {
-		if pid == phaseID {
+	return phases[phaseID].References(r.chunks[chunk].ID) || r.declaredDep(chunk, phaseID)
+}
+
+// declaredDep reports whether a DeclareDep directive names the chunk for
+// the phase (for any phase when phaseID < 0).
+func (r *Runtime) declaredDep(chunk, phaseID int) bool {
+	for _, d := range r.deps {
+		if d.chunk == chunk && (phaseID < 0 || d.phase == phaseID) {
 			return true
 		}
 	}

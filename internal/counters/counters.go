@@ -27,6 +27,9 @@ import (
 // ObjSample is the profile of one chunk within one phase as seen through
 // the sampled counters.
 type ObjSample struct {
+	// ID is the sampled chunk's dense per-heap identifier (memsys.Chunk.ID),
+	// which consumers index their per-chunk tables by.
+	ID int
 	// Chunk names the sampled chunk ("obj" or "obj[i]").
 	Chunk string
 	// Object names the owning object.
@@ -121,6 +124,9 @@ func (s *Sampler) Enabled() bool { return s.on }
 // provided by the execution harness (which knows placement and the timing
 // model). The sampler degrades it into what counters would report.
 type ChunkTraffic struct {
+	// ID is the chunk's dense per-heap identifier (memsys.Chunk.ID); the
+	// sampler copies it into ObjSample.ID.
+	ID         int
 	Chunk      string
 	Object     string
 	ChunkIndex int
@@ -145,6 +151,7 @@ func (s *Sampler) Sample(durNS float64, traffic []ChunkTraffic) *PhaseSample {
 		DurNS:        durNS,
 		TotalSamples: total,
 		OverheadNS:   durNS * s.cfg.OverheadFrac,
+		Objects:      make([]ObjSample, 0, len(traffic)),
 	}
 	for _, t := range traffic {
 		if t.Accesses <= 0 {
@@ -163,6 +170,7 @@ func (s *Sampler) Sample(durNS float64, traffic []ChunkTraffic) *PhaseSample {
 			busy = 1
 		}
 		ps.Objects = append(ps.Objects, ObjSample{
+			ID:              t.ID,
 			Chunk:           t.Chunk,
 			Object:          t.Object,
 			ChunkIndex:      t.ChunkIndex,

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"os"
-	"sort"
 	"testing"
 
 	"unimem/internal/core"
@@ -78,13 +77,8 @@ func TestDebugSPLat4(t *testing.T) {
 	}
 	t.Logf("strategy=%s predicted=%.1fms adoption=%d schedule=%d decisions=%d",
 		plan.Strategy, plan.PredictedIterNS/1e6, len(plan.Adoption), len(plan.Schedule), r0.Decisions)
-	for p, set := range plan.Desired {
-		names := make([]string, 0, len(set))
-		for n := range set {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		t.Logf("phase %d desired DRAM: %v", p, names)
+	for p := range plan.Desired {
+		t.Logf("phase %d desired DRAM: %v", p, plan.DesiredNames(p))
 		if plan.Strategy == "cross-phase-global" {
 			break
 		}

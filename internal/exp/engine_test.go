@@ -166,7 +166,12 @@ func TestForEachRowContextCancel(t *testing.T) {
 //     690 MiB, the runtime's bookkeeping alone near 7 MiB.
 //   - MG class A at 1024 ranks is dominated by per-rank state; a mover
 //     that owned a goroutine and a 256-slot request channel per rank put it
-//     near 35 MiB, a plain per-rank FIFO near 25.5 MiB.
+//     near 35 MiB, a plain per-rank FIFO near 25.5 MiB, and chunk tables
+//     indexed by dense chunk IDs instead of names near 10.6 MiB.
+//   - CG class A at 1024 ranks decides once per rank over 9 chunks and 7
+//     phases and migrates 2048 chunks. Name-keyed placement sets, a fresh
+//     traffic slice per phase and per-call name formatting put it near
+//     44 MiB; dense chunk IDs and a reused traffic buffer near 16.7 MiB.
 func TestEngineRunAllocationCeilings(t *testing.T) {
 	m := machine.PlatformA().WithNVMBandwidthFraction(0.5)
 	for _, tc := range []struct {
@@ -176,7 +181,8 @@ func TestEngineRunAllocationCeilings(t *testing.T) {
 		ceiling  uint64
 	}{
 		{"Nek5000-C-4", workloads.NewNek5000("C", 4), true, 32 << 20},
-		{"MG-A-1024", workloads.NewMG("A", 1024), false, 30 << 20},
+		{"MG-A-1024", workloads.NewMG("A", 1024), false, 16 << 20},
+		{"CG-A-1024", workloads.NewCG("A", 1024), true, 24 << 20},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngine(false, nil)

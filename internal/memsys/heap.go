@@ -14,7 +14,12 @@ type ObjectID int
 // exactly one chunk covering the whole object; partitionable objects have
 // fixed-size chunks (§3.2 "Handling large data objects").
 type Chunk struct {
-	Obj   *Object
+	Obj *Object
+	// ID is the chunk's dense per-heap identifier: chunks are numbered
+	// 0, 1, 2, ... in allocation order and an ID is never reused, so
+	// callers may index slices by it. IDs and names are in bijection
+	// within one heap.
+	ID    int
 	Index int
 	// Size is the simulated size in bytes.
 	Size int64
@@ -22,6 +27,7 @@ type Chunk struct {
 	// trace generators and counter emulation to attribute samples.
 	SimAddr int64
 
+	name   string
 	tier   machine.TierKind
 	offset int64 // offset within the current tier's arena
 }
@@ -30,12 +36,8 @@ type Chunk struct {
 func (c *Chunk) Tier() machine.TierKind { return c.tier }
 
 // Name returns "object" for single-chunk objects and "object[i]" otherwise.
-func (c *Chunk) Name() string {
-	if len(c.Obj.Chunks) == 1 {
-		return c.Obj.Name
-	}
-	return fmt.Sprintf("%s[%d]", c.Obj.Name, c.Index)
-}
+// The string is built once, at allocation.
+func (c *Chunk) Name() string { return c.name }
 
 // Object is a registered target data object (§3: allocated via
 // unimem_malloc). Its placement state is per chunk.
@@ -121,6 +123,7 @@ type Heap struct {
 
 	objects      []*Object
 	byName       map[string]*Object
+	nextChunkID  int
 	nextSimAddr  int64
 	defaultChunk int64
 
@@ -220,9 +223,14 @@ func (h *Heap) Alloc(name string, size int64, opts AllocOptions) (*Object, error
 		}
 		c := &Chunk{
 			Obj:     o,
+			ID:      h.nextChunkID + len(o.Chunks),
 			Index:   len(o.Chunks),
 			Size:    cs,
 			SimAddr: h.nextSimAddr,
+			name:    name,
+		}
+		if chunkSize < size {
+			c.name = fmt.Sprintf("%s[%d]", name, c.Index)
 		}
 		h.nextSimAddr += cs
 		placed := false
@@ -238,6 +246,7 @@ func (h *Heap) Alloc(name string, size int64, opts AllocOptions) (*Object, error
 		}
 		o.Chunks = append(o.Chunks, c)
 	}
+	h.nextChunkID += len(o.Chunks)
 	h.objects = append(h.objects, o)
 	h.byName[name] = o
 	return o, nil
@@ -330,34 +339,6 @@ func (h *Heap) TierOf(c *Chunk) machine.TierKind {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	return c.tier
-}
-
-// ResidencySnapshot returns chunk name -> fastest-tier residency for every
-// chunk, taken atomically under the placement lock.
-func (h *Heap) ResidencySnapshot() map[string]bool {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	out := make(map[string]bool)
-	for _, o := range h.objects {
-		for _, c := range o.Chunks {
-			out[c.Name()] = c.tier == 0
-		}
-	}
-	return out
-}
-
-// TierSnapshot returns chunk name -> current tier for every chunk, taken
-// atomically under the placement lock.
-func (h *Heap) TierSnapshot() map[string]machine.TierKind {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	out := make(map[string]machine.TierKind)
-	for _, o := range h.objects {
-		for _, c := range o.Chunks {
-			out[c.Name()] = c.tier
-		}
-	}
-	return out
 }
 
 // TierResidencyBytes returns the simulated bytes of registered objects

@@ -233,6 +233,33 @@ func TestHeapPartitioning(t *testing.T) {
 	}
 }
 
+// TestChunkIDsDenseInAllocationOrder: chunk IDs count up from 0 across
+// objects in allocation order, are never reused after a Free, and each
+// chunk's name is fixed at allocation.
+func TestChunkIDsDenseInAllocationOrder(t *testing.T) {
+	h := newTestHeap(t, 64<<20)
+	a, err := h.Alloc("a", 8<<20, AllocOptions{InitialTier: machine.NVM})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := h.Alloc("p", 100<<20, AllocOptions{Partitionable: true, ChunkSize: 32 << 20, InitialTier: machine.NVM})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Free(a)
+	b, err := h.Alloc("b", 8<<20, AllocOptions{InitialTier: machine.NVM})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := append(append([]*Chunk{a.Chunks[0]}, p.Chunks...), b.Chunks[0])
+	names := []string{"a", "p[0]", "p[1]", "p[2]", "p[3]", "b"}
+	for i, c := range chunks {
+		if c.ID != i || c.Name() != names[i] {
+			t.Errorf("chunk %d: ID %d name %q, want ID %d name %q", i, c.ID, c.Name(), i, names[i])
+		}
+	}
+}
+
 func TestMoveChunkUpdatesTierAndStats(t *testing.T) {
 	h := newTestHeap(t, 64<<20)
 	o, _ := h.Alloc("m", 1<<20, AllocOptions{InitialTier: machine.NVM})
@@ -306,20 +333,6 @@ func TestFreeReleasesSpace(t *testing.T) {
 	}
 }
 
-func TestResidencySnapshot(t *testing.T) {
-	h := newTestHeap(t, 64<<20)
-	o1, _ := h.Alloc("d", 1<<20, AllocOptions{InitialTier: machine.DRAM})
-	h.Alloc("n", 1<<20, AllocOptions{InitialTier: machine.NVM})
-	snap := h.ResidencySnapshot()
-	if !snap["d"] || snap["n"] {
-		t.Fatalf("snapshot %v", snap)
-	}
-	h.MoveChunk(o1.Chunks[0], machine.NVM)
-	if h.ResidencySnapshot()["d"] {
-		t.Fatal("snapshot stale after move")
-	}
-}
-
 func TestConcurrentMoveAndRead(t *testing.T) {
 	// Helper-thread-style concurrent migration against residency readers;
 	// run with -race to validate the locking discipline.
@@ -339,7 +352,7 @@ func TestConcurrentMoveAndRead(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			_ = h.TierOf(c)
-			_ = h.ResidencySnapshot()
+			_ = h.TierResidencyBytes()
 		}
 	}()
 	wg.Wait()
@@ -380,10 +393,9 @@ func TestMultiTierHeap(t *testing.T) {
 	if st.ToTier[0] != 1 || st.ToTier[slow] != 1 {
 		t.Fatalf("per-tier arrivals %v", st.ToTier)
 	}
-	// Snapshots carry real tier indices.
-	ts := h.TierSnapshot()
-	if ts["mid"] != slow || ts["big"] != slow {
-		t.Fatalf("tier snapshot %v", ts)
+	// Chunks carry real tier indices.
+	if h.TierOf(mid.Chunks[0]) != slow || h.TierOf(big.Chunks[0]) != slow {
+		t.Fatalf("chunks in tiers %d and %d, want %d", h.TierOf(mid.Chunks[0]), h.TierOf(big.Chunks[0]), slow)
 	}
 	res := h.TierResidencyBytes()
 	if res[0] != 0 || res[1] != 0 || res[slow] != big.Size+mid.Size {

@@ -3,7 +3,7 @@
 // delineated by MPI operations and communication phases that are MPI
 // operations, identified transparently through the PMPI interposition
 // counter, plus the per-phase bookkeeping the runtime needs — profiles,
-// reference maps, and the inter-phase dependence analysis that bounds how
+// reference sets, and the inter-phase dependence analysis that bounds how
 // early a proactive migration may be triggered (Fig. 5).
 package phase
 
@@ -63,30 +63,25 @@ type Info struct {
 	// produced the current placement decision.
 	DecisionNS float64
 
-	// refs is the set of chunk names the profile observed traffic for.
-	refs map[string]bool
+	// refs[id] reports whether the profile observed traffic for the chunk
+	// with that ID (memsys.Chunk.ID).
+	refs []bool
 }
 
 // References reports whether the phase's profile observed traffic to the
-// named chunk.
-func (p *Info) References(chunk string) bool { return p.refs[chunk] }
-
-// RefNames returns the chunk names referenced by the phase (unordered).
-func (p *Info) RefNames() []string {
-	out := make([]string, 0, len(p.refs))
-	for n := range p.refs {
-		out = append(out, n)
-	}
-	return out
-}
+// chunk with the given ID.
+func (p *Info) References(chunk int) bool { return chunk < len(p.refs) && p.refs[chunk] }
 
 // SetProfile installs a sampled profile and rebuilds the reference set.
 func (p *Info) SetProfile(ps *counters.PhaseSample) {
 	p.Profile = ps
 	p.ProfiledNS = ps.DurNS
-	p.refs = make(map[string]bool, len(ps.Objects))
+	clear(p.refs)
 	for _, o := range ps.Objects {
-		p.refs[o.Chunk] = true
+		if o.ID >= len(p.refs) {
+			p.refs = append(p.refs, make([]bool, o.ID+1-len(p.refs))...)
+		}
+		p.refs[o.ID] = true
 	}
 }
 
@@ -201,14 +196,15 @@ func (r *Registry) IterDurNS() float64 {
 }
 
 // OverlapWindowNS implements the mem_comp_overlap computation of Fig. 5:
-// the amount of application execution time available to hide a migration of
-// chunk targeted at phase target — the span from the end of the last
-// preceding phase that references the chunk (data dependence) to the start
-// of the target phase, walking the cyclic phase order backwards.
+// the amount of application execution time available to hide a migration
+// of the chunk with ID chunk targeted at phase target — the span from the
+// end of the last preceding phase that references the chunk (data
+// dependence) to the start of the target phase, walking the cyclic phase
+// order backwards.
 //
 // When no other phase references the chunk, the window is the whole rest of
 // the iteration.
-func (r *Registry) OverlapWindowNS(chunk string, target int) float64 {
+func (r *Registry) OverlapWindowNS(chunk, target int) float64 {
 	n := len(r.phases)
 	if n == 0 {
 		return 0
@@ -229,10 +225,11 @@ func (r *Registry) OverlapWindowNS(chunk string, target int) float64 {
 	return window
 }
 
-// TriggerPhase returns the phase index at whose start a migration of chunk
-// targeted at phase target should be enqueued: the earliest phase after the
-// last preceding reference (the yellow arrow of Fig. 5).
-func (r *Registry) TriggerPhase(chunk string, target int) int {
+// TriggerPhase returns the phase index at whose start a migration of the
+// chunk with ID chunk targeted at phase target should be enqueued: the
+// earliest phase after the last preceding reference (the yellow arrow of
+// Fig. 5).
+func (r *Registry) TriggerPhase(chunk, target int) int {
 	n := len(r.phases)
 	if n == 0 {
 		return target

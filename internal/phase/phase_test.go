@@ -6,12 +6,12 @@ import (
 	"unimem/internal/counters"
 )
 
-// profiled installs a synthetic profile referencing the given chunks.
-func profiled(p *Info, durNS float64, chunks ...string) {
+// profiled installs a synthetic profile referencing the given chunk IDs.
+func profiled(p *Info, durNS float64, chunks ...int) {
 	ps := &counters.PhaseSample{DurNS: durNS, TotalSamples: 1000}
 	for _, c := range chunks {
 		ps.Objects = append(ps.Objects, counters.ObjSample{
-			Chunk: c, Object: c, SampledAccesses: 100, BusySamples: 10,
+			ID: c, SampledAccesses: 100, BusySamples: 10,
 		})
 	}
 	p.SetProfile(ps)
@@ -93,27 +93,28 @@ func TestEndWithoutBeginPanics(t *testing.T) {
 
 func TestProfileReferenceSet(t *testing.T) {
 	p := &Info{}
-	profiled(p, 100, "u", "v[2]")
-	if !p.References("u") || !p.References("v[2]") || p.References("w") {
+	profiled(p, 100, 0, 2)
+	if !p.References(0) || p.References(1) || !p.References(2) || p.References(3) {
 		t.Fatal("reference set wrong")
-	}
-	names := p.RefNames()
-	if len(names) != 2 {
-		t.Fatalf("RefNames = %v", names)
 	}
 	if p.ProfiledNS != 100 {
 		t.Fatalf("ProfiledNS = %v", p.ProfiledNS)
 	}
+	// A re-profile replaces the set rather than adding to it.
+	profiled(p, 50, 1)
+	if p.References(0) || !p.References(1) || p.References(2) {
+		t.Fatal("re-profile kept stale references")
+	}
 }
 
 // buildProfiled makes a sealed 5-phase registry with known references:
-// phase 0 and 3 touch "hot"; nothing else does.
+// phase 0 and 3 touch chunk hot; nothing touches chunk cold.
 func buildProfiled(t *testing.T) *Registry {
 	t.Helper()
 	r := NewRegistry()
 	names := []string{"p0", "p1", "p2", "p3", "p4"}
 	drive(r, names, 100)
-	refs := map[int][]string{0: {"hot"}, 3: {"hot"}}
+	refs := map[int][]int{0: {hot}, 3: {hot}}
 	for i, p := range r.Phases() {
 		profiled(p, 100, refs[i]...)
 	}
@@ -121,33 +122,36 @@ func buildProfiled(t *testing.T) *Registry {
 	return r
 }
 
+// Chunk IDs of buildProfiled's registry.
+const hot, cold = 0, 5
+
 func TestOverlapWindow(t *testing.T) {
 	r := buildProfiled(t)
-	// Migration of "hot" for phase 3: last prior reference is phase 0, so
+	// Migration of hot for phase 3: last prior reference is phase 0, so
 	// the window spans phases 1 and 2 = 200ns.
-	if w := r.OverlapWindowNS("hot", 3); w != 200 {
+	if w := r.OverlapWindowNS(hot, 3); w != 200 {
 		t.Fatalf("window = %v, want 200", w)
 	}
 	// For phase 0 (wrapping): last prior reference is phase 3 -> window is
 	// phase 4 = 100ns.
-	if w := r.OverlapWindowNS("hot", 0); w != 100 {
+	if w := r.OverlapWindowNS(hot, 0); w != 100 {
 		t.Fatalf("wrapped window = %v, want 100", w)
 	}
 	// Unreferenced chunk: the whole rest of the iteration (4 phases).
-	if w := r.OverlapWindowNS("cold", 2); w != 400 {
+	if w := r.OverlapWindowNS(cold, 2); w != 400 {
 		t.Fatalf("cold window = %v, want 400", w)
 	}
 }
 
 func TestTriggerPhase(t *testing.T) {
 	r := buildProfiled(t)
-	if tr := r.TriggerPhase("hot", 3); tr != 1 {
+	if tr := r.TriggerPhase(hot, 3); tr != 1 {
 		t.Fatalf("trigger for phase 3 = %d, want 1 (just after phase 0's use)", tr)
 	}
-	if tr := r.TriggerPhase("hot", 0); tr != 4 {
+	if tr := r.TriggerPhase(hot, 0); tr != 4 {
 		t.Fatalf("wrapped trigger = %d, want 4", tr)
 	}
-	if tr := r.TriggerPhase("cold", 2); tr != 3 {
+	if tr := r.TriggerPhase(cold, 2); tr != 3 {
 		t.Fatalf("cold trigger = %d, want 3 (earliest possible)", tr)
 	}
 }

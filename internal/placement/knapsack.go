@@ -7,11 +7,14 @@
 // N-tier hierarchies: each chunk assigned exactly one tier under per-tier
 // capacities.
 //
-// Inputs arrive as per-phase benefit maps (the Eq. 2/3 estimates of how
+// Inputs arrive as per-phase benefit slices (the Eq. 2/3 estimates of how
 // much faster a phase runs with a chunk DRAM-resident) and movement costs
 // (Eq. 4: copy time minus the overlap the helper thread can hide); the
-// package is pure — callers supply both through Input callbacks, and all
-// map iteration is order-normalized so decisions are deterministic.
+// package is pure — callers supply both through Input callbacks. The
+// two-tier searches name chunks by name rank: chunk i is the i-th name in
+// sort.Strings order, so every loop over chunks — knapsack item order,
+// schedule order, float sums, tie-breaks — runs in name order and
+// decisions are deterministic.
 package placement
 
 // Item is one knapsack candidate: a chunk with its size and Eq. 5 weight.
@@ -43,7 +46,7 @@ func Knapsack(items []Item, capacity int64) ([]int, float64) {
 		size int // in granules, rounded up
 		w    float64
 	}
-	var cands []cand
+	cands := make([]cand, 0, len(items))
 	total := 0
 	for i, it := range items {
 		if it.WeightNS <= 0 || it.Size <= 0 {
@@ -67,21 +70,21 @@ func Knapsack(items []Item, capacity int64) ([]int, float64) {
 	// dp[c] is the best weight using capacity c; take[k][c] records whether
 	// candidate k is chosen at capacity c on the optimal path.
 	dp := make([]float64, width)
-	take := make([][]bool, len(cands))
+	take := make([]bool, len(cands)*width) // row k is candidate k
 	for k, cd := range cands {
-		take[k] = make([]bool, width)
+		row := take[k*width : (k+1)*width]
 		for c := width - 1; c >= cd.size; c-- {
 			if v := dp[c-cd.size] + cd.w; v > dp[c] {
 				dp[c] = v
-				take[k][c] = true
+				row[c] = true
 			}
 		}
 	}
 	// Reconstruct.
-	var chosen []int
+	chosen := make([]int, 0, len(cands))
 	c := width - 1
 	for k := len(cands) - 1; k >= 0; k-- {
-		if take[k][c] {
+		if take[k*width+c] {
 			chosen = append(chosen, cands[k].idx)
 			c -= cands[k].size
 		}

@@ -21,34 +21,42 @@ const (
 type PhaseData struct {
 	// DurNS is the duration measured during the profiling iteration.
 	DurNS float64
-	// Benefit maps chunk name -> predicted per-execution gain (ns) of DRAM
-	// residency (Eq. 2/3 output). Chunks absent from the map were not
-	// observed accessing main memory in this phase.
-	Benefit map[string]float64
+	// Benefit[i] is chunk i's predicted per-execution gain (ns) of DRAM
+	// residency (Eq. 2/3 output). A chunk is a candidate in the phase iff
+	// its benefit is > 0; chunks not observed accessing main memory in
+	// this phase carry 0.
+	Benefit []float64
 }
 
 // Input packages everything the searches need, keeping the package pure and
-// independently testable.
+// independently testable. Chunks are named by their index into Names,
+// which is sorted in sort.Strings order, so iterating indices upward
+// visits chunks in name order: knapsack items, schedule moves and every
+// tie-break follow it.
 type Input struct {
 	DRAMCapacity int64
-	// ChunkSize maps every candidate chunk to its size in bytes.
-	ChunkSize map[string]int64
-	Phases    []PhaseData
-	// Resident is DRAM residency at decision time (i.e. during profiling).
-	Resident map[string]bool
+	// Names lists every chunk in sort.Strings order; the searches read it
+	// only to label moves.
+	Names []string
+	// Size[i] is chunk i's size in bytes.
+	Size   []int64
+	Phases []PhaseData
+	// Resident[i] is chunk i's DRAM residency at decision time (i.e.
+	// during profiling).
+	Resident []bool
 	// CopyTimeNS returns the raw migration time for a size.
 	CopyTimeNS func(size int64) float64
 	// OverlapNS returns the available computation-overlap window for
 	// migrating chunk in time for phase target (Fig. 5).
-	OverlapNS func(chunk string, target int) float64
+	OverlapNS func(chunk, target int) float64
 	// TriggerPhase returns the phase index at which such a migration may
 	// be enqueued.
-	TriggerPhase func(chunk string, target int) int
+	TriggerPhase func(chunk, target int) int
 	// References reports whether the profiled phase references the chunk
 	// (the registry's dependence information); may be nil, in which case
 	// evictions stay at their demand points and insertions do not slide
 	// past full phases.
-	References func(chunk string, phase int) bool
+	References func(chunk, phase int) bool
 	// AmortizeIters spreads one-time adoption cost when scoring the global
 	// strategy (default 10).
 	AmortizeIters int
@@ -64,7 +72,9 @@ type Input struct {
 
 // Move is one entry of the proactive migration schedule.
 type Move struct {
-	Chunk  string
+	// Chunk is the moved chunk's index into Input.Names, and Name its name.
+	Chunk  int
+	Name   string
 	ToDRAM bool
 	// TriggerPhase is the phase at whose start the move is enqueued.
 	TriggerPhase int
@@ -79,14 +89,16 @@ func (m Move) String() string {
 	if !m.ToDRAM {
 		dir = "->NVM"
 	}
-	return fmt.Sprintf("%s%s@p%d(for p%d)", m.Chunk, dir, m.TriggerPhase, m.TargetPhase)
+	return fmt.Sprintf("%s%s@p%d(for p%d)", m.Name, dir, m.TriggerPhase, m.TargetPhase)
 }
 
 // Plan is the outcome of one search strategy.
 type Plan struct {
 	Strategy Strategy
-	// Desired is the DRAM-resident set for each phase.
-	Desired []map[string]bool
+	// Names is the Input's chunk list, which Desired is indexed by.
+	Names []string
+	// Desired[p][i] reports whether chunk i is DRAM-resident during phase p.
+	Desired [][]bool
 	// Adoption is the one-time move list bringing the decision-time state
 	// to Desired[0].
 	Adoption []Move
@@ -97,9 +109,22 @@ type Plan struct {
 	PredictedIterNS float64
 }
 
-// MovesPerIter returns the number of recurring migrations per iteration of
-// the steady-state schedule.
-func (p *Plan) MovesPerIter() int { return len(p.Schedule) }
+// DesiredNames returns the names of the chunks desired in DRAM during
+// phase ph, in name order.
+func (p *Plan) DesiredNames(ph int) []string {
+	var out []string
+	for c, in := range p.Desired[ph] {
+		if in {
+			out = append(out, p.Names[c])
+		}
+	}
+	return out
+}
+
+// move builds a Move of chunk c.
+func (in *Input) move(c int, toDRAM bool, trigger, target int) Move {
+	return Move{Chunk: c, Name: in.Names[c], ToDRAM: toDRAM, TriggerPhase: trigger, TargetPhase: target}
+}
 
 // baseNS returns the phase durations normalized to an all-NVM placement:
 // the profiled duration plus the benefit of every chunk that was already
@@ -109,7 +134,7 @@ func (in *Input) baseNS() []float64 {
 	for p, pd := range in.Phases {
 		base[p] = pd.DurNS
 		for c, b := range pd.Benefit {
-			if in.Resident[c] {
+			if b > 0 && in.Resident[c] {
 				base[p] += b
 			}
 		}
@@ -117,32 +142,18 @@ func (in *Input) baseNS() []float64 {
 	return base
 }
 
-// sortedChunks returns map keys in deterministic order.
-func sortedChunks[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func setBytes(in *Input, set map[string]bool) int64 {
-	var n int64
-	for c := range set {
-		n += in.ChunkSize[c]
-	}
-	return n
-}
-
-func copySet(s map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(s))
-	for k, v := range s {
-		if v {
-			out[k] = true
+// benefitTotals returns each chunk's benefit summed over the phases, in
+// phase order; a total > 0 marks a candidate of some phase.
+func (in *Input) benefitTotals() []float64 {
+	total := make([]float64, len(in.Size))
+	for _, pd := range in.Phases {
+		for c, b := range pd.Benefit {
+			if b > 0 {
+				total[c] += b
+			}
 		}
 	}
-	return out
+	return total
 }
 
 // SearchLocal runs the phase-local search: phases are decided one by one
@@ -164,54 +175,59 @@ func SearchLocal(in *Input) *Plan {
 // search a refinement of the best static placement rather than of the
 // arbitrary adoption-time state (the sequential pass is greedy, so its
 // starting point matters).
-func SearchLocalFrom(in *Input, seed map[string]bool) *Plan {
+func SearchLocalFrom(in *Input, seed []bool) *Plan {
 	// Pass 1 prices one-time adoption only (no recurrence charge) and
 	// reveals which chunks would be cycle-stable (desired at every phase)
 	// versus transient (moved within the cycle). Pass 2, warm-started from
 	// pass 1's end state, charges every transient candidate the recurring
 	// round-trip copy its residency implies, so only swaps that genuinely
 	// out-earn the helper thread's occupancy survive.
-	resident := copySet(seed)
-	desired := searchLocalPass(in, resident, nil)
-	stable := map[string]bool{}
+	desired := searchLocalPass(in, seed, nil)
+	stable := make([]bool, len(in.Size))
+	resident := seed
 	if n := len(desired); n > 0 {
-		for c := range desired[0] {
-			inAll := true
-			for p := 1; p < n; p++ {
-				if !desired[p][c] {
-					inAll = false
-					break
-				}
-			}
-			if inAll {
-				stable[c] = true
+		for c := range stable {
+			stable[c] = true
+			for p := 0; p < n && stable[c]; p++ {
+				stable[c] = desired[p][c]
 			}
 		}
 		resident = desired[n-1]
 	}
 	if in.NoHysteresis {
-		for c := range in.ChunkSize {
+		for c := range stable {
 			stable[c] = true // every candidate priced as cycle-stable
 		}
 	}
 	desired = searchLocalPass(in, resident, stable)
-	plan := &Plan{Strategy: Local, Desired: desired}
+	plan := &Plan{Strategy: Local, Names: in.Names, Desired: desired}
 	plan.Adoption, plan.Schedule = buildSchedule(in, desired)
 	plan.PredictedIterNS = predictIter(in, plan)
 	return plan
 }
 
-// searchLocalPass runs one sequential per-phase knapsack pass. stable, when
-// non-nil, enables the steady-state recurrence charge for chunks outside it.
-func searchLocalPass(in *Input, startResident map[string]bool, stable map[string]bool) []map[string]bool {
-	resident := copySet(startResident)
-	desired := make([]map[string]bool, len(in.Phases))
+// searchLocalPass runs one sequential per-phase knapsack pass from the
+// start residency. stable, when non-nil, enables the steady-state
+// recurrence charge for chunks outside it.
+func searchLocalPass(in *Input, resident, stable []bool) [][]bool {
+	n := len(in.Size)
+	sets := make([]bool, len(in.Phases)*n) // backs every phase's desired set
+	desired := make([][]bool, len(in.Phases))
+	items := make([]Item, 0, len(in.Size))
+	chunkOf := make([]int, 0, len(in.Size)) // chunkOf[k] is items[k]'s chunk
 	for p, pd := range in.Phases {
-		residentBytes := setBytes(in, resident)
-		var items []Item
-		for _, c := range sortedChunks(pd.Benefit) {
-			b := pd.Benefit[c]
-			size := in.ChunkSize[c]
+		var residentBytes int64
+		for c, r := range resident {
+			if r {
+				residentBytes += in.Size[c]
+			}
+		}
+		items, chunkOf = items[:0], chunkOf[:0]
+		for c, b := range pd.Benefit {
+			if b <= 0 {
+				continue
+			}
+			size := in.Size[c]
 			w := b
 			if stable != nil && !stable[c] {
 				// Transient in the cyclic steady state: every iteration
@@ -227,27 +243,28 @@ func searchLocalPass(in *Input, startResident map[string]bool, stable map[string
 					w -= in.CopyTimeNS(deficit)
 				}
 			}
-			items = append(items, Item{Chunk: c, Size: size, WeightNS: w})
+			items = append(items, Item{Size: size, WeightNS: w})
+			chunkOf = append(chunkOf, c)
 		}
 		chosen, _ := Knapsack(items, in.DRAMCapacity)
-		next := make(map[string]bool, len(chosen))
+		next := sets[p*n : (p+1)*n : (p+1)*n]
+		desired[p] = next
 		var nextBytes int64
-		for _, i := range chosen {
-			next[items[i].Chunk] = true
-			nextBytes += items[i].Size
+		for _, k := range chosen {
+			next[chunkOf[k]] = true
+			nextBytes += items[k].Size
 		}
 		// Prior residents stay if they still fit (eviction only on space
 		// demand, matching the runtime's lazy eviction).
-		for _, c := range sortedChunks(resident) {
-			if next[c] {
+		for c, r := range resident {
+			if !r || next[c] {
 				continue
 			}
-			if sz := in.ChunkSize[c]; nextBytes+sz <= in.DRAMCapacity {
+			if sz := in.Size[c]; nextBytes+sz <= in.DRAMCapacity {
 				next[c] = true
 				nextBytes += sz
 			}
 		}
-		desired[p] = next
 		resident = next
 	}
 	return desired
@@ -262,48 +279,41 @@ func SearchGlobal(in *Input) *Plan {
 	if amort <= 0 {
 		amort = 10
 	}
-	total := make(map[string]float64)
-	for _, pd := range in.Phases {
-		for c, b := range pd.Benefit {
-			total[c] += b
+	span := iterSpan(in)
+	items := make([]Item, 0, len(in.Size))
+	chunkOf := make([]int, 0, len(in.Size))
+	for c, total := range in.benefitTotals() {
+		if total <= 0 {
+			continue
 		}
-	}
-	var items []Item
-	for _, c := range sortedChunks(total) {
-		size := in.ChunkSize[c]
-		w := total[c]
+		size := in.Size[c]
+		w := total
 		if !in.Resident[c] {
 			// Adoption migrations overlap with the whole iteration; any
 			// exposed remainder is paid once and amortized.
-			w -= MoveCost(in, size, iterSpan(in)) / float64(amort)
+			w -= MoveCost(in, size, span) / float64(amort)
 		}
-		items = append(items, Item{Chunk: c, Size: size, WeightNS: w})
+		items = append(items, Item{Size: size, WeightNS: w})
+		chunkOf = append(chunkOf, c)
 	}
 	chosen, _ := Knapsack(items, in.DRAMCapacity)
-	set := make(map[string]bool, len(chosen))
-	for _, i := range chosen {
-		set[items[i].Chunk] = true
+	set := make([]bool, len(in.Size))
+	for _, k := range chosen {
+		set[chunkOf[k]] = true
 	}
-	desired := make([]map[string]bool, len(in.Phases))
+	desired := make([][]bool, len(in.Phases))
 	for p := range desired {
 		desired[p] = set
 	}
-	plan := &Plan{Strategy: Global, Desired: desired}
+	plan := &Plan{Strategy: Global, Names: in.Names, Desired: desired}
 	plan.Adoption, plan.Schedule = buildSchedule(in, desired)
 	plan.PredictedIterNS = predictIter(in, plan)
 	return plan
 }
 
-// Decide runs the enabled strategies and returns the plan with the best
+// DecideAll runs the enabled strategies and returns the plan with the best
 // predicted iteration time (§3.1.3: "choose the best data placement of the
-// two searches").
-func Decide(in *Input, enableLocal, enableGlobal bool) *Plan {
-	best, _ := DecideAll(in, enableLocal, enableGlobal)
-	return best
-}
-
-// DecideAll is Decide returning every candidate plan alongside the winner,
-// for tooling and tests.
+// two searches") and every candidate plan, for tooling and tests.
 func DecideAll(in *Input, enableLocal, enableGlobal bool) (*Plan, []*Plan) {
 	var best *Plan
 	var all []*Plan
@@ -324,11 +334,12 @@ func DecideAll(in *Input, enableLocal, enableGlobal bool) (*Plan, []*Plan) {
 	}
 	if best == nil {
 		// No strategy enabled: keep everything where it is.
-		desired := make([]map[string]bool, len(in.Phases))
+		set := append([]bool(nil), in.Resident...)
+		desired := make([][]bool, len(in.Phases))
 		for p := range desired {
-			desired[p] = copySet(in.Resident)
+			desired[p] = set
 		}
-		best = &Plan{Strategy: "none", Desired: desired}
+		best = &Plan{Strategy: "none", Names: in.Names, Desired: desired}
 		best.PredictedIterNS = predictIter(in, best)
 		all = append(all, best)
 	}
@@ -344,15 +355,11 @@ func DecideAll(in *Input, enableLocal, enableGlobal bool) (*Plan, []*Plan) {
 // computation is one extra knapsack over the already-memoized benefit
 // totals, so it is cheap enough to run at every decision.
 func OracleStaticNS(in *Input) float64 {
-	total := make(map[string]float64)
-	for _, pd := range in.Phases {
-		for c, b := range pd.Benefit {
-			total[c] += b
-		}
-	}
 	var items []Item
-	for _, c := range sortedChunks(total) {
-		items = append(items, Item{Chunk: c, Size: in.ChunkSize[c], WeightNS: total[c]})
+	for c, total := range in.benefitTotals() {
+		if total > 0 {
+			items = append(items, Item{Size: in.Size[c], WeightNS: total})
+		}
 	}
 	_, gain := Knapsack(items, in.DRAMCapacity)
 	var base float64
@@ -383,38 +390,29 @@ func iterSpan(in *Input) float64 {
 // Desired[0]) and the recurring per-iteration schedule (cyclic diffs of the
 // desired sets, with DRAM-bound moves triggered as early as the dependence
 // analysis allows).
-func buildSchedule(in *Input, desired []map[string]bool) (adoption, schedule []Move) {
+func buildSchedule(in *Input, desired [][]bool) (adoption, schedule []Move) {
 	n := len(desired)
 	if n == 0 {
 		return nil, nil
 	}
 	// Adoption: evictions first so space exists for insertions.
-	for _, c := range sortedChunks(in.Resident) {
-		if !desired[0][c] {
-			adoption = append(adoption, Move{Chunk: c, ToDRAM: false, TriggerPhase: 0, TargetPhase: 0})
+	for c, r := range in.Resident {
+		if r && !desired[0][c] {
+			adoption = append(adoption, in.move(c, false, 0, 0))
 		}
 	}
-	for _, c := range sortedChunks(desired[0]) {
-		if !in.Resident[c] {
-			adoption = append(adoption, Move{Chunk: c, ToDRAM: true, TriggerPhase: 0, TargetPhase: 0})
+	for c, d := range desired[0] {
+		if d && !in.Resident[c] {
+			adoption = append(adoption, in.move(c, true, 0, 0))
 		}
 	}
 	mod := func(x int) int { return ((x % n) + n) % n }
 
 	// Collect per-chunk transition points: insertion phases (enters the
 	// desired set) and eviction phases (leaves it).
-	allChunks := map[string]bool{}
-	for _, d := range desired {
-		for c := range d {
-			allChunks[c] = true
-		}
-	}
-	type moveKey struct {
-		chunk string
-		phase int
-	}
+	type moveKey struct{ chunk, phase int }
 	var evictions, insertions []moveKey
-	for _, c := range sortedChunks(allChunks) {
+	for c := range in.Size {
 		for p := 0; p < n; p++ {
 			prev := desired[mod(p-1)]
 			if desired[p][c] && !prev[c] {
@@ -432,8 +430,8 @@ func buildSchedule(in *Input, desired []map[string]bool) (adoption, schedule []M
 	// tenant's copy overlap (the double-buffering of the paper's Fig. 6
 	// walkthrough). Without reference information, evict at the demand
 	// point.
-	evictTrigger := make(map[moveKey]int, len(evictions))
-	for _, ev := range evictions {
+	evictTrigger := make([]int, len(evictions))
+	for e, ev := range evictions {
 		trig := ev.phase
 		if in.References != nil {
 			for j := 1; j < n; j++ {
@@ -444,33 +442,32 @@ func buildSchedule(in *Input, desired []map[string]bool) (adoption, schedule []M
 				}
 			}
 		}
-		evictTrigger[ev] = trig
-		schedule = append(schedule, Move{Chunk: ev.chunk, ToDRAM: false, TriggerPhase: trig, TargetPhase: ev.phase})
+		evictTrigger[e] = trig
+		schedule = append(schedule, in.move(ev.chunk, false, trig, ev.phase))
 	}
 
 	// Occupancy: the phases each chunk holds DRAM, from its (unslid)
 	// insertion to its eviction trigger. Used to bound how far insertions
 	// may slide back.
 	occ := make([]int64, n)
-	for _, c := range sortedChunks(allChunks) {
-		for p := 0; p < n; p++ {
-			if !desired[p][c] {
-				continue
+	for p, d := range desired {
+		for c, in0 := range d {
+			if in0 {
+				occ[p] += in.Size[c]
 			}
-			occ[p] += in.ChunkSize[c]
 		}
 	}
 	// Extend occupancy from eviction demand back to eviction trigger is a
 	// shrink (early vacancy): remove the occupancy of phases between the
 	// eviction trigger and the demand point.
-	for _, ev := range evictions {
-		trig := evictTrigger[ev]
+	for e, ev := range evictions {
+		trig := evictTrigger[e]
 		if trig == ev.phase {
 			continue
 		}
 		for j := trig; j != ev.phase; j = mod(j + 1) {
 			if desired[j][ev.chunk] {
-				occ[j] -= in.ChunkSize[ev.chunk]
+				occ[j] -= in.Size[ev.chunk]
 			}
 		}
 	}
@@ -483,7 +480,7 @@ func buildSchedule(in *Input, desired []map[string]bool) (adoption, schedule []M
 		if in.TriggerPhase != nil {
 			stepsDep = mod(p - in.TriggerPhase(c, p))
 		}
-		size := in.ChunkSize[c]
+		size := in.Size[c]
 		steps := 0
 		for j := 1; j <= stepsDep; j++ {
 			ph := mod(p - j)
@@ -497,7 +494,7 @@ func buildSchedule(in *Input, desired []map[string]bool) (adoption, schedule []M
 		for j := trigger; j != p; j = mod(j + 1) {
 			occ[j] += size
 		}
-		schedule = append(schedule, Move{Chunk: c, ToDRAM: true, TriggerPhase: trigger, TargetPhase: p})
+		schedule = append(schedule, in.move(c, true, trigger, p))
 	}
 	// Within a trigger phase, evictions must reach the helper queue before
 	// insertions so the vacated space is available.
@@ -527,7 +524,7 @@ func predictIter(in *Input, plan *Plan) float64 {
 	for p, pd := range in.Phases {
 		t += base[p]
 		for c, b := range pd.Benefit {
-			if plan.Desired[p][c] {
+			if b > 0 && plan.Desired[p][c] {
 				t -= b
 			}
 		}
@@ -541,7 +538,7 @@ func predictIter(in *Input, plan *Plan) float64 {
 		// helper-thread serialization.
 		for _, mv := range plan.Schedule {
 			if mv.ToDRAM {
-				t += MoveCost(in, in.ChunkSize[mv.Chunk], in.OverlapNS(mv.Chunk, mv.TargetPhase))
+				t += MoveCost(in, in.Size[mv.Chunk], in.OverlapNS(mv.Chunk, mv.TargetPhase))
 			}
 		}
 		return t
@@ -552,20 +549,15 @@ func predictIter(in *Input, plan *Plan) float64 {
 		start[p+1] = start[p] + base[p]
 	}
 	span := start[n]
-	// Moves in trigger order, preserving schedule order within a phase
-	// (evictions were emitted before insertions).
-	moves := make([]Move, len(plan.Schedule))
-	copy(moves, plan.Schedule)
-	sort.SliceStable(moves, func(a, b int) bool {
-		return moves[a].TriggerPhase < moves[b].TriggerPhase
-	})
+	// buildSchedule emits moves in trigger order, evictions before
+	// insertions within a phase: the helper's FIFO order.
 	var helperFree, stalls float64
-	for _, mv := range moves {
+	for _, mv := range plan.Schedule {
 		s := start[mv.TriggerPhase]
 		if helperFree > s {
 			s = helperFree
 		}
-		end := s + in.CopyTimeNS(in.ChunkSize[mv.Chunk])
+		end := s + in.CopyTimeNS(in.Size[mv.Chunk])
 		helperFree = end
 		if mv.ToDRAM {
 			deadline := start[mv.TargetPhase]
