@@ -16,32 +16,10 @@
 //	unimem-bench -exp table4 -csv out.csv
 //	unimem-bench -exp scenariofleet -quick -fleet 8 -parallel
 //	unimem-bench -exp all -parallel -timeout 10m
-//	unimem-bench -bench mpisim -quick -bench-out BENCH_mpisim.json
-//	unimem-bench -bench serve -quick -bench-out BENCH_serve.json
-//	unimem-bench -bench fastpath -quick -check
 //
 // -timeout bounds the whole run: on expiry, in-flight simulated worlds
 // abort, the partial cache statistics are printed to stderr, and the
 // process exits nonzero.
-//
-// -bench mpisim switches to the simulator micro/macro benchmark mode: it
-// runs ping-pong, allreduce at 64/1k/10k ranks and the CG/SP/MG comm
-// skeletons on the event-driven mpisim core and (where its ranks²
-// allocation is feasible) the retired goroutine oracle engine, and writes
-// the before/after comparison to -bench-out as JSON — the repo's perf
-// trajectory artifact. A 10k-rank world that cannot complete fails the
-// run, which is the scale gate CI enforces.
-//
-// -bench serve measures the HTTP observability layer's request-path
-// overhead: matched cache-hit request storms against a metrics-disabled
-// and a metrics-enabled server, reported as a relative slowdown — the
-// ≤2% budget artifact (BENCH_serve.json).
-//
-// -bench fastpath measures the analytic fast path's wall-clock speedup
-// over exact event-driven simulation on long stationary runs, while
-// differentially verifying the two produce identical results — the
-// BENCH_fastpath.json artifact. -check gates the worst cell against an
-// absolute speedup floor and fails on any result divergence.
 package main
 
 import (
@@ -56,8 +34,6 @@ import (
 	"time"
 
 	"unimem/internal/exp"
-	"unimem/internal/mpisim/simprog"
-	"unimem/internal/serve"
 )
 
 // summary is the machine-readable run report of the JSON output mode.
@@ -80,133 +56,22 @@ type document struct {
 	Summary summary      `json:"summary"`
 }
 
-// writeBenchDoc encodes a benchmark document to out ("-" for stdout, ""
-// to skip writing — the -check default).
-func writeBenchDoc(doc interface{}, out string) error {
-	if out == "" {
-		return nil
-	}
-	f := os.Stdout
-	if out != "-" {
-		var err error
-		if f, err = os.Create(out); err != nil {
-			return err
-		}
-		defer f.Close()
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// runBenchMode dispatches -bench: "mpisim" runs the simulator
-// micro/macro benchmarks on both engines, "serve" runs the HTTP
-// observability-overhead comparison. Progress goes to stderr; stdout
-// stays silent (the experiment-golden discipline).
-func runBenchMode(mode string, quick bool, out string, check bool, baseline string) int {
-	logf := func(format string, args ...interface{}) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}
-	start := time.Now()
-	switch mode {
-	case "mpisim":
-		doc, err := simprog.RunBenchSuite(quick, logf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		if err := writeBenchDoc(doc, out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "%d benchmark cells in %v; per-core speedups event-vs-oracle: %v\n",
-			len(doc.Results), time.Since(start).Round(time.Millisecond), doc.SpeedupPerCore)
-		if check {
-			return runCheck(mode, doc, baseline)
-		}
-		return 0
-	case "serve":
-		doc, err := serve.RunServeBench(quick, logf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		if err := writeBenchDoc(doc, out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "serve bench done in %v; metrics overhead %.2f%%\n",
-			time.Since(start).Round(time.Millisecond), doc.OverheadPct)
-		if check {
-			return runCheck(mode, doc, baseline)
-		}
-		return 0
-	case "fastpath":
-		doc, err := exp.RunFastpathBench(quick, logf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		if err := writeBenchDoc(doc, out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "fastpath bench done in %v; worst-cell speedup %.1fx\n",
-			time.Since(start).Round(time.Millisecond), doc.MinSpeedup)
-		if check {
-			return runCheck(mode, doc, baseline)
-		}
-		return 0
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -bench mode %q (want mpisim, serve or fastpath)\n", mode)
-		return 2
-	}
-}
-
 func main() {
 	var (
-		expID     = flag.String("exp", "all", "experiment id (see -list), comma-separated list, or 'all'")
-		class     = flag.String("class", "C", "NPB class for the basic tests (A/B/C/D)")
-		ranks     = flag.Int("ranks", 4, "MPI world size")
-		seed      = flag.Uint64("seed", 0xD07, "deterministic seed")
-		quick     = flag.Bool("quick", false, "cap iteration counts (fast, less faithful)")
-		fleet     = flag.Int("fleet", 0, "scenarios per archetype for -exp scenariofleet (0: default 4)")
-		parallel  = flag.Bool("parallel", false, "fan experiment cells across GOMAXPROCS workers")
-		workersN  = flag.Int("workers", 0, "worker-pool width (overrides -parallel; 1 = serial)")
-		csv       = flag.String("csv", "", "also write results as CSV to this file")
-		jsonOut   = flag.String("json", "", "write results as JSON to this file ('-' for stdout, suppressing tables)")
-		timeout   = flag.Duration("timeout", 0, "abort the whole run after this duration (0: no limit)")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		bench     = flag.String("bench", "", "benchmark mode instead of experiments: 'mpisim' (engine), 'serve' (HTTP observability overhead) or 'fastpath' (analytic fast-path speedup)")
-		benchOut  = flag.String("bench-out", "", "benchmark JSON destination for -bench (default BENCH_<mode>.json)")
-		check     = flag.Bool("check", false, "with -bench: gate the fresh run against the committed baseline and exit 1 on regression")
-		checkBase = flag.String("check-baseline", "", "baseline JSON for -check (default BENCH_<mode>.json)")
+		expID    = flag.String("exp", "all", "experiment id (see -list), comma-separated list, or 'all'")
+		class    = flag.String("class", "C", "NPB class for the basic tests (A/B/C/D)")
+		ranks    = flag.Int("ranks", 4, "MPI world size")
+		seed     = flag.Uint64("seed", 0xD07, "deterministic seed")
+		quick    = flag.Bool("quick", false, "cap iteration counts (fast, less faithful)")
+		fleet    = flag.Int("fleet", 0, "scenarios per archetype for -exp scenariofleet (0: default 4)")
+		parallel = flag.Bool("parallel", false, "fan experiment cells across GOMAXPROCS workers")
+		workersN = flag.Int("workers", 0, "worker-pool width (overrides -parallel; 1 = serial)")
+		csv      = flag.String("csv", "", "also write results as CSV to this file")
+		jsonOut  = flag.String("json", "", "write results as JSON to this file ('-' for stdout, suppressing tables)")
+		timeout  = flag.Duration("timeout", 0, "abort the whole run after this duration (0: no limit)")
+		list     = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Parse()
-
-	if *check && *bench == "" {
-		fmt.Fprintln(os.Stderr, "-check requires -bench mpisim, serve or fastpath")
-		os.Exit(2)
-	}
-	if *bench != "" {
-		out := *benchOut
-		if out == "" && !*check {
-			// In -check mode the default is to write nothing: the committed
-			// BENCH_<mode>.json is the baseline being compared against, and
-			// defaulting the output onto it would overwrite the baseline
-			// before the comparison reads it.
-			out = "BENCH_" + *bench + ".json"
-		}
-		baseline := *checkBase
-		if baseline == "" {
-			baseline = "BENCH_" + *bench + ".json"
-		}
-		if *check && out == baseline {
-			fmt.Fprintf(os.Stderr, "-bench-out and -check-baseline are both %s; the fresh run would overwrite its own baseline\n", out)
-			os.Exit(2)
-		}
-		os.Exit(runBenchMode(*bench, *quick, out, *check, baseline))
-	}
 
 	order, reg := exp.Registry()
 	if *list {

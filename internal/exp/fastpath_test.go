@@ -3,7 +3,9 @@ package exp
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"unimem/internal/app"
 	"unimem/internal/core"
@@ -160,5 +162,78 @@ func TestFastPathFullLengthStationary(t *testing.T) {
 	}
 	if info.FastPath.AnalyticIters == 0 {
 		t.Fatalf("fast path never engaged on a 120-iteration stationary run: %+v", info.FastPath)
+	}
+}
+
+// TestFastPathSpeedupGate times matched exact-vs-fast executions of
+// 9600-iteration stationary runs on the paper's two-tier platform and
+// the capacity-tight three-tier stack (the multiple-choice-knapsack
+// runtime path). Every pair must be deeply equal, so a fast path that is
+// fast but wrong fails here too. Each cell's median speedup must reach
+// 10x: both sides run in the same process on the same machine, so the
+// ratio cancels the machine out, and long stationary runs sit far above
+// the floor unless the fast path stopped engaging or stopped skipping.
+func TestFastPathSpeedupGate(t *testing.T) {
+	const iters, trials, minSpeedup = 9600, 5, 10.0
+	tight := machine.PlatformHBMDDRNVM().
+		WithTierCapacity(0, 96<<20).
+		WithTierCapacity(1, 160<<20)
+	tight.Name = "HBM+DDR+NVM/tight"
+	cells := []struct {
+		name string
+		m    *machine.Machine
+	}{
+		{"stable/two-tier", machine.PlatformA().WithNVMLatencyFactor(4)},
+		{"stable/three-tier", tight},
+	}
+	eng := NewEngine(false, nil) // uncached: every trial really executes
+	for _, c := range cells {
+		spec, err := scenario.Generate(scenario.ArchStable, 0x5EED)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Ranks = 2
+		spec.Iterations = iters
+		w, err := spec.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := core.DefaultConfig()
+		run := func(exact bool) (*app.Result, ExecInfo, time.Duration) {
+			start := time.Now()
+			res, _, info, err := eng.ExecuteInfo(context.Background(), w, c.m, StrategyUnimem(), cfg,
+				app.Options{Ranks: spec.Ranks, ExactSim: exact})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, info, time.Since(start)
+		}
+		run(false) // warm the engine's memoized calibration so neither side pays it
+
+		var exactD, fastD []time.Duration
+		var info ExecInfo
+		for i := 0; i < trials; i++ {
+			exact, _, de := run(true)
+			fast, fi, df := run(false)
+			if !reflect.DeepEqual(exact, fast) {
+				t.Fatalf("%s trial %d: exact and fast-path results diverge", c.name, i)
+			}
+			exactD, fastD, info = append(exactD, de), append(fastD, df), fi
+		}
+		slices.Sort(exactD)
+		slices.Sort(fastD)
+		exactMed, fastMed := exactD[trials/2], fastD[trials/2]
+		speedup := float64(exactMed) / float64(fastMed)
+		var analytic float64
+		if total := info.FastPath.AnalyticIters + info.FastPath.SimulatedIters; total > 0 {
+			analytic = float64(info.FastPath.AnalyticIters) / float64(total)
+		}
+		t.Logf("%s: %d iters, exact %v fast %v -> %.1fx (analytic %.0f%%)",
+			c.name, iters, exactMed.Round(time.Microsecond), fastMed.Round(time.Microsecond),
+			speedup, 100*analytic)
+		if !raceEnabled && speedup < minSpeedup {
+			t.Errorf("%s: %.1fx speedup below the %.0fx floor (analytic fraction %.0f%%)",
+				c.name, speedup, minSpeedup, 100*analytic)
+		}
 	}
 }

@@ -29,8 +29,8 @@
 // buffered-channel mailboxes, sync.Cond collectives — is retired to
 // package oracle and retained as the reference engine: the differential
 // and fuzz suites assert that both engines produce identical per-rank
-// Clock() and CommNS on randomized programs, and `unimem-bench -bench`
-// measures the two against each other.
+// Clock() and CommNS on randomized programs, and the engine gate in
+// package simprog's tests measures the two against each other.
 //
 // # Determinism
 //

@@ -11,9 +11,9 @@
 // collective broadcasts thrash the Go scheduler. Its virtual-clock
 // *semantics*, however, are the contract: per-rank final Clock() and CommNS
 // are dataflow-deterministic, so the event core must reproduce them exactly.
-// The differential suite (mpisim's diff and fuzz tests) and the
-// `unimem-bench -bench` before/after harness are the only intended
-// importers; production code must use package mpisim.
+// The differential suite (mpisim's diff and fuzz tests) and the engine
+// gate in package simprog's tests are the only intended importers;
+// production code must use package mpisim.
 package oracle
 
 import (

@@ -2,9 +2,9 @@
 // engines: the production event-driven core (package mpisim) and the
 // retired goroutine reference engine (package mpisim/oracle). It exists so
 // the exact same rank program can execute on both — the differential and
-// fuzz suites use it to assert per-rank clock equivalence, and the
-// `unimem-bench -bench` harness uses it to measure the engines against
-// each other on micro and macro benchmarks.
+// fuzz suites use it to assert per-rank clock equivalence, and the engine
+// gate in its tests measures the engines against each other on micro and
+// macro benchmarks.
 package simprog
 
 import (
@@ -53,9 +53,6 @@ var Event Engine = eventEngine{}
 // allocates a ranks² mailbox matrix of 1024-buffered channels, so keep
 // worlds small (≤ a few hundred ranks) or the allocation alone dominates.
 var Oracle Engine = oracleEngine{}
-
-// Engines lists both, production engine first.
-var Engines = []Engine{Event, Oracle}
 
 type eventEngine struct{}
 

@@ -1,0 +1,223 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"testing"
+	"time"
+
+	"unimem/internal/cluster"
+	"unimem/internal/loadgen"
+	"unimem/internal/obs"
+)
+
+// This file holds the serve layer's performance gates: what the
+// observability layer costs on the request path, and whether a two-node
+// forwarding cluster spreads and serves a replayed key population.
+
+// maxOverheadPct is the request-path instrumentation budget, slightly
+// above the documented ≤2% target to absorb noise around the line.
+const maxOverheadPct = 2.5
+
+// Floors on the measured loadgen round of the cluster replay.
+const (
+	// minHitRate: after the warm round every key is resident at its
+	// ring owner, so a lower rate means forwarding routed requests away
+	// from their owners or fallbacks re-executed cold runs.
+	minHitRate = 0.95
+	// minQPSFraction of the fixed open-loop schedule; falling far below
+	// it means the cluster path stalled the sender pool.
+	minQPSFraction = 0.5
+	// minNodeShare of executed requests per node: the ring must actually
+	// spread the key population.
+	minNodeShare = 0.10
+)
+
+// TestServeMetricsOverheadGate fires identical cache-hit /run requests at
+// two servers that differ only in Config.DisableMetrics. Requests
+// alternate one-for-one, swapping who goes first every iteration, so both
+// servers sample the same noise (GC cycles, CPU frequency, neighbors).
+// The overhead is the median, across trials, of the within-trial ratio of
+// p50 latencies (metrics on vs off); pairing adjacent trials cancels
+// drift, and an A/A run stays within about ±1%. Hits are the cheapest
+// request the server answers, which maximizes the instrumentation's
+// relative weight. The metrics-enabled server's latency histogram must
+// also have counted every request sent, so the timings measured real work.
+func TestServeMetricsOverheadGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real request storms")
+	}
+	// Nine trials of 400 pairs: at five of 120 the estimate's spread
+	// alone reaches the budget when other processes share the machine.
+	const trials, perTrial = 9, 400
+	newServer := func(disable bool) *Server {
+		srv, err := New(Config{Quick: true, Workers: 2, DisableMetrics: disable})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		return srv
+	}
+	off, on := newServer(true), newServer(false)
+	body, err := json.Marshal(RunRequest{
+		Platform: PlatformSpec{Name: "a", NVMBandwidthFraction: 0.5},
+		JobReq: JobReq{
+			Workload: WorkloadReq{NPB: &NPBReq{Name: "CG", Class: "A", Ranks: 2}},
+			Strategy: "xmem",
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := func(srv *Server) int64 {
+		req := httptest.NewRequest(http.MethodPost, "/run", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		srv.Handler().ServeHTTP(rec, req)
+		elapsed := time.Since(start).Nanoseconds()
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/run status %d: %s", rec.Code, rec.Body.String())
+		}
+		return elapsed
+	}
+
+	// The first request on each server is the cold simulation that
+	// populates its run cache; everything measured afterwards is a hit.
+	one(off)
+	one(on)
+	ratios := make([]float64, 0, trials)
+	for i := 0; i < trials; i++ {
+		lOff := make([]int64, 0, perTrial)
+		lOn := make([]int64, 0, perTrial)
+		for j := 0; j < perTrial; j++ {
+			if j%2 == 0 {
+				lOff = append(lOff, one(off))
+				lOn = append(lOn, one(on))
+			} else {
+				lOn = append(lOn, one(on))
+				lOff = append(lOff, one(off))
+			}
+		}
+		ratios = append(ratios, float64(median(lOn))/float64(median(lOff)))
+	}
+	overhead := 100 * (median(ratios) - 1)
+	t.Logf("%d trials x %d request pairs: paired-median overhead %.2f%%", trials, perTrial, overhead)
+
+	rec := httptest.NewRecorder()
+	on.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/metrics status %d", rec.Code)
+	}
+	if err := obs.ValidateExposition(bytes.NewReader(rec.Body.Bytes())); err != nil {
+		t.Fatalf("/metrics exposition invalid: %v", err)
+	}
+	var counted int64
+	for _, pair := range on.metrics.duration.Children() {
+		counted += pair[1].(*obs.Histogram).Count()
+	}
+	if want := int64(trials*perTrial + 1); counted != want {
+		t.Errorf("latency histogram counted %d requests, sent %d", counted, want)
+	}
+	if !raceEnabled && overhead > maxOverheadPct {
+		t.Errorf("request-path instrumentation overhead %.2f%% exceeds the %.1f%% budget",
+			overhead, maxOverheadPct)
+	}
+}
+
+// TestServeClusterReplayGate stands up a two-node forwarding cluster over
+// in-process HTTP listeners and replays a deterministic scenario
+// population twice: a warm round that parks every key's result at its
+// ring owner, then a measured open-loop round that should therefore be
+// pure forwarded cache hits, spread across both nodes.
+func TestServeClusterReplayGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real request storms")
+	}
+	var urls []string
+	var nodes []*Server
+	for i := 0; i < 2; i++ {
+		srv, err := New(Config{Quick: true, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(func() {
+			ts.Close()
+			srv.Close()
+		})
+		nodes = append(nodes, srv)
+		urls = append(urls, ts.URL)
+	}
+	for i, srv := range nodes {
+		srv.SetCluster(cluster.New(cluster.Config{
+			Self:           urls[i],
+			Peers:          urls,
+			ForwardTimeout: 10 * time.Second,
+			Retries:        1,
+			Backoff:        10 * time.Millisecond,
+		}))
+	}
+
+	base := loadgen.Config{
+		Targets:   []loadgen.Target{{Name: "node-a", Base: urls[0]}, {Name: "node-b", Base: urls[1]}},
+		Scenarios: 2, // 2 per archetype x 6 archetypes: 12 distinct keys
+		Seed:      11,
+		Strategy:  "xmem",
+		Workers:   8,
+		Logf:      t.Logf,
+	}
+	bodies, err := loadgen.Bodies(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := base
+	warm.QPS = 1000
+	warm.Requests = len(bodies)
+	rep, err := loadgen.Run(context.Background(), warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors > 0 {
+		t.Fatalf("warm round: %d of %d requests failed", rep.Errors, rep.Requests)
+	}
+
+	measured := base
+	measured.QPS = 200
+	measured.Requests = 80
+	lg, err := loadgen.Run(context.Background(), measured)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("per-node split: %+v", lg.PerNode)
+	if lg.Errors > 0 {
+		t.Errorf("%d of %d requests failed", lg.Errors, lg.Requests)
+	}
+	if lg.HitRate < minHitRate {
+		t.Errorf("hit rate %.1f%% below the %.0f%% floor", 100*lg.HitRate, 100*minHitRate)
+	}
+	if !raceEnabled && lg.AchievedQPS < minQPSFraction*lg.TargetQPS {
+		t.Errorf("achieved %.1f QPS below %.0f%% of the %.1f QPS schedule",
+			lg.AchievedQPS, 100*minQPSFraction, lg.TargetQPS)
+	}
+	if len(lg.PerNode) < 2 {
+		t.Errorf("%d node(s) executed requests; the ring did not spread the keys", len(lg.PerNode))
+	}
+	for node, ns := range lg.PerNode {
+		if share := float64(ns.Requests) / float64(lg.Requests); share < minNodeShare {
+			t.Errorf("node %s executed only %.1f%% of requests (floor %.0f%%)",
+				node, 100*share, 100*minNodeShare)
+		}
+	}
+}
+
+// median returns the lower median of xs without reordering it.
+func median[T int64 | float64](xs []T) T {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return s[(len(s)-1)/2]
+}

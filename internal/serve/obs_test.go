@@ -271,25 +271,3 @@ func TestMetricsDisabled(t *testing.T) {
 		t.Fatal("missing X-Request-Id with metrics disabled")
 	}
 }
-
-// TestServeBenchQuick runs the quick observability-overhead benchmark
-// end to end: it must complete, validate its own /metrics scrape, and
-// produce a document whose two series saw every request.
-func TestServeBenchQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench harness runs real request storms")
-	}
-	doc, err := serve.RunServeBench(true, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.Mode != "serve" || !doc.Quick {
-		t.Fatalf("unexpected doc header: %+v", doc)
-	}
-	if got := len(doc.MetricsOff.TrialNS); got != doc.Trials {
-		t.Fatalf("metrics_off has %d trials, want %d", got, doc.Trials)
-	}
-	if doc.MetricsOn.P50RequestUS <= 0 || doc.MetricsOff.P50RequestUS <= 0 {
-		t.Fatalf("empty latency series: %+v", doc)
-	}
-}
