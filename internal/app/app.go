@@ -278,6 +278,9 @@ func RunCtx(ctx context.Context, w *workloads.Workload, m *machine.Machine, opts
 
 				start := c.Clock()
 				scale := ph.RankScale(rank, opts.Ranks)
+				if fp != nil {
+					fp.beforeTraffic(pi)
+				}
 				traffic, serviceNS := ExpandTraffic(rc, ph.Refs(iter), scale)
 				c.Advance(int64(serviceNS))
 				execComm(c, ph, iter)
@@ -290,7 +293,7 @@ func RunCtx(ctx context.Context, w *workloads.Workload, m *machine.Machine, opts
 				}
 				mgr.PhaseEnd(rc, dur, traffic)
 				if fp != nil {
-					fp.observePhase(pi, ph, iter, dur, traffic)
+					fp.lastDur[pi] = dur
 				}
 				if rc.Trace != nil {
 					// The span covers PhaseBegin through PhaseEnd, so
@@ -301,7 +304,7 @@ func RunCtx(ctx context.Context, w *workloads.Workload, m *machine.Machine, opts
 				}
 			}
 			if fp != nil {
-				fp.endIter(c)
+				fp.endIter(c, iter)
 			}
 			if rc.Trace != nil {
 				rc.Trace.Span(obs.Virtual, rank, fmt.Sprintf("iteration %d", iter), "iteration",

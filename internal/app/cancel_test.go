@@ -32,11 +32,13 @@ func TestRunCtxDeadContext(t *testing.T) {
 // simulated world must abort — ranks parked in collectives included —
 // and RunCtx must return the context error promptly. The Unimem
 // runtime's helper thread is a virtual timeline on the rank goroutine, so
-// an aborted rank leaves nothing running behind it.
+// an aborted rank leaves nothing running behind it. The run simulates
+// every iteration (ExactSim): the fast path would skip all but a handful
+// and finish before the cancel lands.
 func TestRunCtxCancelMidRun(t *testing.T) {
 	w := workloads.NewCG("C", 4)
 	cp := *w
-	cp.Iterations = 100000 // minutes of simulation if not aborted
+	cp.Iterations = 100000 // over a second of exact simulation if not aborted
 	m := machine.PlatformA().WithNVMBandwidthFraction(0.5)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -45,7 +47,7 @@ func TestRunCtxCancelMidRun(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res, err := app.RunCtx(ctx, &cp, m, app.Options{}, core.Factory(core.DefaultConfig()))
+	res, err := app.RunCtx(ctx, &cp, m, app.Options{ExactSim: true}, core.Factory(core.DefaultConfig()))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -4,23 +4,23 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"unimem/internal/counters"
 	"unimem/internal/mpisim"
 	"unimem/internal/obs"
-	"unimem/internal/phase"
-	"unimem/internal/workloads"
 )
 
 // This file is the harness half of the analytic fast path: steady-state
-// fast-forward. Each rank tracks, per phase position, how many
-// consecutive iterations presented the same (content x placement) key.
+// fast-forward. Each rank tracks how many consecutive simulated
+// iterations ran in the same content epoch (the workload's phases did
+// identical work) and priced all their traffic under the same heap
+// placement generation (no chunk changed tier), which together fix every
+// phase's traffic exactly.
 // When every rank votes — in lockstep, through the simulator's zero-cost
-// Poll rendezvous — that its manager is quiescent, its keys have been
-// stable for K iterations and its last two iteration clock deltas are
-// equal, and all ranks' deltas agree, the remaining iterations of the
-// stable window (bounded by the workload's content epochs, shared by
-// every rank) are skipped: clocks, CommNS, per-phase means and manager
-// bookkeeping are advanced analytically in one step. Soundness: at a
+// Poll rendezvous — that its manager is quiescent, its streak is at least
+// K iterations long and its last two iteration clock deltas are equal,
+// and all ranks' deltas agree, the rest of the current content epoch
+// (the epochs are shared by every rank) is skipped: clocks, CommNS,
+// per-phase means and manager bookkeeping are advanced analytically in
+// one step. Soundness: at a
 // unanimous iteration boundary every inbox is empty and the run heap is
 // quiescent, so with equal per-rank advances the relative clock offsets
 // — the only cross-rank state — are preserved, and a skipped iteration
@@ -28,8 +28,8 @@ import (
 
 // Fast-path engagement thresholds: polls begin once enough iterations
 // have completed to compare two consecutive clock deltas, and a window
-// counts as stable once every phase position has re-presented the same
-// key for this many consecutive iterations.
+// counts as stable once this many consecutive iterations have presented
+// the same streak key.
 const (
 	fastPathMinIter     = 3
 	fastPathStableIters = 3
@@ -94,14 +94,16 @@ type fastPath struct {
 	mgr    FastPather
 	epochs []int // the workload's content epochs, shared by every rank
 
-	// Last simulated iteration's per-position content keys and measured
-	// durations — the extrapolation template for skipped iterations.
-	lastContent []phase.Key
-	lastDur     []float64
-	// Per-position streaks: the last (content x placement) key and how
-	// many consecutive simulated iterations presented it.
-	lastKey []phase.Key
-	streak  []int
+	// Last simulated iteration's per-position measured durations — the
+	// extrapolation template for skipped iterations.
+	lastDur []float64
+	// The streak: the last simulated iteration's key and how many
+	// consecutive simulated iterations presented it; firstGen and lastGen
+	// are the placement generations the current iteration's first and last
+	// phases priced their traffic under.
+	lastKey           streakKey
+	streak            int
+	firstGen, lastGen uint64
 	// Rank 0 only: the run's per-phase accumulators, extrapolated by
 	// repeated addition so a skipped window contributes the exact float
 	// sums simulation would have.
@@ -124,9 +126,17 @@ type fastPath struct {
 	stats FastPathStats
 }
 
+// streakKey identifies what fixes an iteration's traffic: the index of
+// the content epoch it lies in and the heap placement generation its
+// phases priced their traffic under.
+type streakKey struct {
+	epoch int
+	gen   uint64
+}
+
 // newFastPath returns the rank's tracker, or nil when the fast path is
 // off for this run. epochs must list every iteration at which some
-// phase's content key changes (Workload.ComputeContentEpochs).
+// phase's content changes (Workload.ComputeContentEpochs).
 func newFastPath(rc *RankCtx, mgr Manager, opts *Options, epochs []int, phaseNS []float64, phaseCount []int64) *fastPath {
 	if opts.ExactSim {
 		return nil
@@ -135,15 +145,11 @@ func newFastPath(rc *RankCtx, mgr Manager, opts *Options, epochs []int, phaseNS 
 	if !ok {
 		return nil
 	}
-	n := len(rc.W.Phases)
 	fp := &fastPath{
-		rc:          rc,
-		mgr:         fpm,
-		epochs:      epochs,
-		lastContent: make([]phase.Key, n),
-		lastDur:     make([]float64, n),
-		lastKey:     make([]phase.Key, n),
-		streak:      make([]int, n),
+		rc:      rc,
+		mgr:     fpm,
+		epochs:  epochs,
+		lastDur: make([]float64, len(rc.W.Phases)),
 	}
 	if rc.Rank == 0 {
 		fp.phaseNS, fp.phaseCount = phaseNS, phaseCount
@@ -163,85 +169,77 @@ func (fp *fastPath) beginIter(c *mpisim.Comm) {
 	}
 }
 
-// observePhase records one simulated phase execution: the workload
-// content key folded with the placement-expanded traffic (chunk
-// identity, accesses and tier-priced service time) extends or resets the
-// position's streak, and the content key and measured duration become
-// the position's extrapolation template.
-func (fp *fastPath) observePhase(pi int, ph *workloads.Phase, iter int, durNS float64, traffic []counters.ChunkTraffic) {
-	ck := ph.ContentKey(iter)
-	d := phase.NewDigest().Uint64(uint64(ck))
-	for _, t := range traffic {
-		d = d.Int(t.ID).
-			Int64(t.Accesses).
-			Float64(t.ServiceNS).
-			Float64(t.ReadFrac).
-			Int(int(t.Pattern))
+// beforeTraffic records the placement generation phase pi's traffic is
+// about to be priced under. Generations only grow, so the first and last
+// phases' readings bracket every phase's.
+func (fp *fastPath) beforeTraffic(pi int) {
+	g := fp.rc.Heap.Generation()
+	if pi == 0 {
+		fp.firstGen = g
 	}
-	fp.observe(pi, d.Key())
-	fp.lastContent[pi] = ck
-	fp.lastDur[pi] = durNS
+	fp.lastGen = g
 }
 
-// observe extends position pi's streak when key repeats its last key and
-// restarts it at 1 otherwise.
-func (fp *fastPath) observe(pi int, key phase.Key) {
-	if fp.lastKey[pi] == key {
-		fp.streak[pi]++
-	} else {
-		fp.lastKey[pi], fp.streak[pi] = key, 1
-	}
-}
-
-// stableIters returns the number of consecutive simulated iterations over
-// which every phase position re-presented the same key: the minimum
-// streak across positions (0 before any observation).
-func (fp *fastPath) stableIters() int {
-	if len(fp.streak) == 0 {
-		return 0
-	}
-	return slices.Min(fp.streak)
-}
-
-// endIter closes a simulated iteration, rolling the delta history.
-func (fp *fastPath) endIter(c *mpisim.Comm) {
+// endIter closes simulated iteration iter: it rolls the delta history and
+// advances the streak. A tier change between the iteration's first and
+// last traffic pricing zeroes the streak (its phases ran under two
+// placements); otherwise the streak grows when the key repeats the last
+// iteration's and restarts at 1 when it does not.
+func (fp *fastPath) endIter(c *mpisim.Comm, iter int) {
 	fp.prevIterDelta, fp.prevCommDelta = fp.lastIterDelta, fp.lastCommDelta
 	fp.lastIterDelta = c.Clock() - fp.iterStartClock
 	fp.lastCommDelta = c.CommNS - fp.iterStartComm
 	fp.simIters++
 	fp.stats.SimulatedIters++
+
+	key := streakKey{epoch: fp.epochOf(iter), gen: fp.lastGen}
+	switch {
+	case fp.lastGen != fp.firstGen:
+		fp.streak = 0
+	case key == fp.lastKey:
+		fp.streak++
+	default:
+		fp.streak = 1
+	}
+	fp.lastKey = key
+}
+
+// epochOf returns the index of the content epoch iter lies in: the number
+// of epochs at or before it. epochs[epochOf(iter)], when present, is the
+// next epoch after iter.
+func (fp *fastPath) epochOf(iter int) int {
+	i, _ := slices.BinarySearch(fp.epochs, iter+1)
+	return i
 }
 
 // steady is this rank's fast-forward vote: the manager has been
-// quiescent since before the template iteration began, every phase
-// position has presented the same (content x placement) key for K
-// consecutive iterations, and the last two iteration deltas are equal —
-// the rank's execution has provably settled into a fixed point.
+// quiescent since before the template iteration began, K consecutive
+// iterations have presented the same streak key, and the last two
+// iteration deltas are equal — the rank's execution has provably settled
+// into a fixed point.
 func (fp *fastPath) steady() bool {
 	return fp.simIters >= fastPathMinIter &&
 		fp.steadyIters >= 2 &&
 		fp.mgr.SteadyState() &&
-		fp.stableIters() >= fastPathStableIters &&
+		fp.streak >= fastPathStableIters &&
 		fp.lastIterDelta > 0 &&
 		fp.lastIterDelta == fp.prevIterDelta &&
 		fp.lastCommDelta == fp.prevCommDelta
 }
 
 // scan returns how many consecutive iterations starting at iter present
-// exactly the last simulated iteration's content: 0 unless iter itself
-// matches the template, else up to the first content epoch past iter. It
-// reads only rank-independent workload ground truth, so every rank
-// computes the same bound without further coordination.
+// exactly the last simulated iteration's content: 0 unless iter lies in
+// the same content epoch, else up to the next epoch. It reads only the
+// rank-independent epochs, so every rank computes the same bound without
+// further coordination.
 func (fp *fastPath) scan(iter int) int {
-	w := fp.rc.W
-	for pi := range w.Phases {
-		if w.Phases[pi].ContentKey(iter) != fp.lastContent[pi] {
-			return 0
-		}
+	e := fp.epochOf(iter)
+	if e != fp.lastKey.epoch {
+		return 0
 	}
-	end := w.Iterations
-	if i, _ := slices.BinarySearch(fp.epochs, iter+1); i < len(fp.epochs) {
-		end = min(end, fp.epochs[i])
+	end := fp.rc.W.Iterations
+	if e < len(fp.epochs) {
+		end = min(end, fp.epochs[e])
 	}
 	return end - iter
 }

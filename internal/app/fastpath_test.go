@@ -1,82 +1,102 @@
 package app
 
 import (
+	"reflect"
 	"testing"
 
-	"unimem/internal/phase"
+	"unimem/internal/machine"
+	"unimem/internal/memsys"
+	"unimem/internal/mpisim"
 	"unimem/internal/workloads"
 )
 
+// steadyMgr is a FastPather that is always quiescent.
+type steadyMgr struct{}
+
+func (steadyMgr) SteadyState() bool { return true }
+func (steadyMgr) FastForward(int)   {}
+
 // TestFastPathStreaks pins the stability signal the fast-forward vote
-// consumes: a repeated key grows its position's streak, a changed key
-// restarts it, stableIters is the minimum across positions, and it is 0
-// before any observation.
+// consumes, the per-rank streak keyed by (content epoch, placement
+// generation): repeated keys grow it, an epoch boundary restarts it at 1,
+// a tier change between two phases' traffic zeroes it, a tier change
+// before the first or after the last phase's traffic restarts it at 1
+// or leaves it alone, and a same-tier no-op move changes nothing.
 func TestFastPathStreaks(t *testing.T) {
-	fp := &fastPath{lastKey: make([]phase.Key, 2), streak: make([]int, 2)}
-	if got := fp.stableIters(); got != 0 {
-		t.Fatalf("stableIters before any observation = %d, want 0", got)
+	m := machine.PlatformA()
+	heap := memsys.NewHeap(m, memsys.NewNodeTiers(m), memsys.HeapOptions{})
+	obj, err := heap.Alloc("a", 1<<20, memsys.AllocOptions{InitialTier: machine.NVM})
+	if err != nil {
+		t.Fatal(err)
 	}
-	k0 := phase.NewDigest().String("p0").Key()
-	k1 := phase.NewDigest().String("p1").Key()
-
-	fp.observe(0, k0)
-	if got := fp.stableIters(); got != 0 {
-		t.Errorf("stableIters with an unobserved position = %d, want 0", got)
+	w := &workloads.Workload{Name: "streaks", Iterations: 15,
+		Phases: []workloads.Phase{{Name: "p0"}, {Name: "p1"}}}
+	fp := &fastPath{
+		rc:      &RankCtx{W: w, Heap: heap},
+		mgr:     steadyMgr{},
+		epochs:  []int{5},
+		lastDur: make([]float64, len(w.Phases)),
 	}
-	fp.observe(1, k1)
-	if got := fp.stableIters(); got != 1 {
-		t.Errorf("stableIters after one iteration = %d, want 1", got)
+	// moves[iter] = {position, tier}: before phase position's traffic
+	// (position 2: after the last phase's).
+	type move struct {
+		pos int
+		to  machine.TierKind
 	}
-	for i := 0; i < 3; i++ {
-		fp.observe(0, k0)
-		fp.observe(1, k1)
+	moves := map[int]move{
+		7:  {1, machine.DRAM}, // between the two phases
+		10: {0, machine.NVM},  // before any traffic
+		12: {1, machine.NVM},  // already there: no tier change
+		13: {2, machine.DRAM}, // after all traffic
 	}
-	if got := fp.stableIters(); got != 4 {
-		t.Errorf("stableIters after four repeats = %d, want 4", got)
-	}
-
-	// Position 0's key changes: its streak restarts, dragging the minimum
-	// down while position 1 keeps growing.
-	fp.observe(0, phase.NewDigest().String("p0'").Key())
-	fp.observe(1, k1)
-	if fp.streak[0] != 1 || fp.streak[1] != 5 {
-		t.Errorf("streaks = %v, want [1 5]", fp.streak)
-	}
-	if got := fp.stableIters(); got != 1 {
-		t.Errorf("stableIters after a key change = %d, want 1", got)
+	var got []int
+	mpisim.NewWorld(1, m).Run(func(c *mpisim.Comm) {
+		for iter := 0; iter < w.Iterations; iter++ {
+			fp.beginIter(c)
+			for pi := 0; pi <= len(w.Phases); pi++ {
+				if mv, ok := moves[iter]; ok && mv.pos == pi {
+					if _, err := heap.MoveChunk(obj.Chunks[0], mv.to); err != nil {
+						t.Errorf("iteration %d: %v", iter, err)
+					}
+				}
+				if pi < len(w.Phases) {
+					fp.beforeTraffic(pi)
+					c.Advance(10)
+				}
+			}
+			fp.endIter(c, iter)
+			got = append(got, fp.streak)
+		}
+	})
+	// 0-4 share epoch 0; 5 starts epoch 1. The move inside 7 zeroes the
+	// streak and 8 restarts it; 10 ran entirely under its new placement;
+	// 13's traffic was all priced before its move, which 14 then sees.
+	want := []int{1, 2, 3, 4, 5, 1, 2, 0, 1, 2, 1, 2, 3, 4, 1}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("streaks = %v, want %v", got, want)
 	}
 }
 
 // TestFastPathScanEpochs: the scan accepts a window only when its first
-// iteration matches the template, and ends it at the next content epoch.
+// iteration lies in the last simulated iteration's content epoch, and ends
+// it at the next epoch (or the end of the run).
 func TestFastPathScanEpochs(t *testing.T) {
-	refs := func(iter int) []phase.Ref {
-		n := int64(100)
-		if iter >= 6 {
-			n = 200
+	w := &workloads.Workload{Name: "scan", Iterations: 10}
+	fp := &fastPath{rc: &RankCtx{W: w}, epochs: []int{4, 6}}
+	cases := []struct {
+		lastEpoch, iter, want int
+	}{
+		{0, 2, 2}, // window [2, 4)
+		{0, 4, 0}, // iter starts the next epoch
+		{0, 7, 0}, // iter lies two epochs later
+		{1, 5, 1}, // window [5, 6)
+		{1, 3, 0}, // iter lies in an earlier epoch
+		{2, 7, 3}, // the last epoch runs to the end of the run
+	}
+	for _, c := range cases {
+		fp.lastKey.epoch = c.lastEpoch
+		if got := fp.scan(c.iter); got != c.want {
+			t.Errorf("last epoch %d: scan(%d) = %d, want %d", c.lastEpoch, c.iter, got, c.want)
 		}
-		return []phase.Ref{{Object: "a", Accesses: n}}
-	}
-	w := &workloads.Workload{
-		Name:       "scan",
-		Iterations: 10,
-		Phases:     []workloads.Phase{{Name: "p", Kind: phase.Compute, Refs: refs}},
-	}
-	epochs := w.ComputeContentEpochs()
-	if len(epochs) != 1 || epochs[0] != 6 {
-		t.Fatalf("epochs = %v, want [6]", epochs)
-	}
-	fp := &fastPath{rc: &RankCtx{W: w}, epochs: epochs, lastContent: make([]phase.Key, 1)}
-
-	fp.lastContent[0] = w.Phases[0].ContentKey(2)
-	if got := fp.scan(3); got != 3 {
-		t.Errorf("scan(3) = %d, want 3 (window [3, 6))", got)
-	}
-	if got := fp.scan(6); got != 0 {
-		t.Errorf("scan(6) = %d, want 0 (content changed)", got)
-	}
-	fp.lastContent[0] = w.Phases[0].ContentKey(6)
-	if got := fp.scan(7); got != 3 {
-		t.Errorf("scan(7) = %d, want 3 (window [7, 10))", got)
 	}
 }

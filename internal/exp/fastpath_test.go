@@ -10,6 +10,8 @@ import (
 	"unimem/internal/app"
 	"unimem/internal/core"
 	"unimem/internal/machine"
+	"unimem/internal/obs"
+	"unimem/internal/phase"
 	"unimem/internal/scenario"
 	"unimem/internal/workloads"
 )
@@ -126,6 +128,93 @@ func TestFastPathDifferentialBuiltin(t *testing.T) {
 		}
 		if w.ContentEpochs != nil {
 			t.Errorf("%s: run mutated the shared workload's ContentEpochs", w.Name)
+		}
+	}
+}
+
+// TestFastPathContentChangeNotSkipped: a workload whose content changes at
+// iteration k — through its reference lists, or through a communication
+// schedule alone — is never fast-forwarded across k, and its results equal
+// exact simulation. The workloads declare no epochs, so the bound comes
+// from the harness's exact comparison of consecutive iterations; no hash
+// is involved anywhere on the path.
+func TestFastPathContentChangeNotSkipped(t *testing.T) {
+	const iters, k = 60, 30
+	build := func(name string, hotAt func(iter int) string, sched []workloads.ScaleWindow) *workloads.Workload {
+		return &workloads.Workload{
+			Name: name, Class: "C", Ranks: 2, Iterations: iters,
+			Objects: []workloads.ObjectSpec{
+				{Name: "hot", Size: 96 << 20, RefHint: 3e6},
+				{Name: "cold", Size: 96 << 20, RefHint: 1e5},
+				{Name: "buf", Size: 8 << 20},
+			},
+			Phases: []workloads.Phase{
+				{Name: "sweep", Kind: phase.Compute, Flops: 10e6,
+					Refs: func(iter int) []phase.Ref {
+						return []phase.Ref{{Object: hotAt(iter), Accesses: 1e6, ReadFrac: 1, Pattern: machine.PointerChase}}
+					}},
+				{Name: "exchange", Kind: phase.Comm, Comm: workloads.CommHalo, CommBytes: 256 << 10,
+					CommSchedule: sched,
+					Refs: func(int) []phase.Ref {
+						return []phase.Ref{{Object: "buf", Accesses: 2e4, ReadFrac: 0.5, Pattern: machine.Stream}}
+					}},
+			},
+		}
+	}
+	always := func(obj string) func(int) string { return func(int) string { return obj } }
+	cases := []*workloads.Workload{
+		build("refs-change", func(iter int) string {
+			if iter >= k {
+				return "cold"
+			}
+			return "hot"
+		}, nil),
+		build("schedule-change", always("hot"), []workloads.ScaleWindow{{From: k, Scale: 8}}),
+	}
+	// DRAM holds one of the two large latency-bound objects, so the switch
+	// from hot to cold moves traffic onto the slow tier.
+	m := machine.PlatformA().WithNVMLatencyFactor(4).WithDRAMCapacity(128 << 20)
+	eng := NewEngine(false, nil) // full length, uncached
+	for _, w := range cases {
+		for _, s := range []struct {
+			name string
+			st   Strategy
+		}{
+			{"unimem", StrategyUnimem()},
+			{"hint-density", StrategyHintDensity()},
+		} {
+			exact, _, _, err := eng.ExecuteInfo(context.Background(), w, m, s.st, core.DefaultConfig(),
+				app.Options{Ranks: w.Ranks, ExactSim: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := obs.NewExplain()
+			fast, _, info, err := eng.ExecuteInfo(context.Background(), w, m, s.st, core.DefaultConfig(),
+				app.Options{Ranks: w.Ranks, Explain: ex})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(exact, fast) {
+				t.Errorf("%s/%s: results diverge with fast path on", w.Name, s.name)
+			}
+			ffs := ex.Doc().FastForwards
+			if int64(len(ffs)) != info.FastPath.FastForwards {
+				t.Fatalf("%s/%s: explain has %d fast-forwards, stats say %d",
+					w.Name, s.name, len(ffs), info.FastPath.FastForwards)
+			}
+			before := false
+			for _, ff := range ffs {
+				if ff.EntryIter < k && ff.ExitIter > k {
+					t.Errorf("%s/%s: fast-forward [%d, %d) skipped the content change at %d",
+						w.Name, s.name, ff.EntryIter, ff.ExitIter, k)
+				}
+				before = before || ff.EntryIter < k
+			}
+			if !before {
+				t.Errorf("%s/%s: no fast-forward before the change at %d; the bound is untested: %+v",
+					w.Name, s.name, k, info.FastPath)
+			}
+			t.Logf("%s/%s: %+v %v", w.Name, s.name, info.FastPath, ffs)
 		}
 	}
 }

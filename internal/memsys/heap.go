@@ -126,6 +126,10 @@ type Heap struct {
 	nextChunkID  int
 	nextSimAddr  int64
 	defaultChunk int64
+	// generation counts successful cross-tier moves: MoveChunk is the only
+	// place a placed chunk changes tier, so an unchanged generation means
+	// an unchanged placement.
+	generation uint64
 
 	Stats MigrationStats
 }
@@ -292,8 +296,9 @@ func (h *Heap) Free(o *Object) {
 // MoveChunk migrates the chunk to tier k: reserves space in the target
 // tier, rewrites the chunk's residence (the pointer rewrite the runtime
 // performs on behalf of the application), and releases the old
-// reservation. It returns the simulated bytes moved (0 if
-// already resident) or ErrNoSpace if the target tier cannot hold the chunk.
+// reservation, bumping the placement generation. It returns the simulated
+// bytes moved (0 if already resident) or ErrNoSpace if the target tier
+// cannot hold the chunk; neither case changes the generation.
 func (h *Heap) MoveChunk(c *Chunk, k machine.TierKind) (int64, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -306,6 +311,7 @@ func (h *Heap) MoveChunk(c *Chunk, k machine.TierKind) (int64, error) {
 		h.Stats.FailedNoSpace++
 		return 0, err
 	}
+	h.generation++
 	h.Stats.PointerRewrite++
 	h.allocs[oldTier].Free(oldOff, c.Size)
 	h.Stats.Migrations++
@@ -339,6 +345,14 @@ func (h *Heap) TierOf(c *Chunk) machine.TierKind {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	return c.tier
+}
+
+// Generation returns the heap's placement generation, under the placement
+// lock: equal generations at two points bracket no chunk tier change.
+func (h *Heap) Generation() uint64 {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return h.generation
 }
 
 // TierResidencyBytes returns the simulated bytes of registered objects

@@ -298,6 +298,39 @@ func TestMoveChunkNoSpace(t *testing.T) {
 	}
 }
 
+// TestGenerationCountsCrossTierMoves: the placement generation the fast
+// path keys its streaks on bumps exactly once per successful cross-tier
+// MoveChunk; allocation, same-tier no-ops and ErrNoSpace failures leave it.
+func TestGenerationCountsCrossTierMoves(t *testing.T) {
+	h := newTestHeap(t, 4<<20)
+	small, _ := h.Alloc("s", 1<<20, AllocOptions{InitialTier: machine.NVM})
+	big, _ := h.Alloc("b", 8<<20, AllocOptions{InitialTier: machine.NVM})
+	if g := h.Generation(); g != 0 {
+		t.Fatalf("generation after allocation = %d, want 0", g)
+	}
+	steps := []struct {
+		what    string
+		c       *Chunk
+		to      machine.TierKind
+		wantErr error
+		want    uint64
+	}{
+		{"promotion", small.Chunks[0], machine.DRAM, nil, 1},
+		{"same-tier no-op", small.Chunks[0], machine.DRAM, nil, 1},
+		{"ErrNoSpace", big.Chunks[0], machine.DRAM, ErrNoSpace, 1},
+		{"demotion", small.Chunks[0], machine.NVM, nil, 2},
+		{"same-tier no-op", small.Chunks[0], machine.NVM, nil, 2},
+	}
+	for _, s := range steps {
+		if _, err := h.MoveChunk(s.c, s.to); !errors.Is(err, s.wantErr) {
+			t.Fatalf("%s: err = %v, want %v", s.what, err, s.wantErr)
+		}
+		if g := h.Generation(); g != s.want {
+			t.Fatalf("after %s: generation = %d, want %d", s.what, g, s.want)
+		}
+	}
+}
+
 func TestMoveObjectAllChunks(t *testing.T) {
 	h := newTestHeap(t, 64<<20)
 	o, _ := h.Alloc("p", 48<<20, AllocOptions{

@@ -1,45 +1,6 @@
 package phase
 
-import (
-	"math"
-	"testing"
-)
-
-// TestDigestDeterminismAndSensitivity: equal fold chains produce equal
-// keys; changing any folded value, the fold order, or the value's type
-// framing changes the key.
-func TestDigestDeterminismAndSensitivity(t *testing.T) {
-	mk := func(a uint64, b int64, f float64, s string) Key {
-		return NewDigest().Uint64(a).Int64(b).Float64(f).String(s).Key()
-	}
-	base := mk(1, -2, 3.5, "hot")
-	if base != mk(1, -2, 3.5, "hot") {
-		t.Fatal("digest not deterministic")
-	}
-	if base == 0 {
-		t.Fatal("zero key is reserved for 'no key'")
-	}
-	variants := []Key{
-		mk(2, -2, 3.5, "hot"),
-		mk(1, 2, 3.5, "hot"),
-		mk(1, -2, 3.25, "hot"),
-		mk(1, -2, 3.5, "cold"),
-		NewDigest().Int64(-2).Uint64(1).Float64(3.5).String("hot").Key(), // order
-	}
-	seen := map[Key]bool{base: true}
-	for i, v := range variants {
-		if seen[v] {
-			t.Errorf("variant %d collides", i)
-		}
-		seen[v] = true
-	}
-	// Float folding is bit-exact: -0.0 and +0.0 differ in IEEE bits, so
-	// they must key differently (the fast path may only rely on exact
-	// value equality).
-	if NewDigest().Float64(math.Copysign(0, -1)).Key() == NewDigest().Float64(0).Key() {
-		t.Error("-0.0 and +0.0 fold identically")
-	}
-}
+import "testing"
 
 // TestRegistryFastForward: advancing between iterations preserves the
 // positional cycle; mid-phase or pre-seal fast-forwards panic.

@@ -13,6 +13,8 @@
 package workloads
 
 import (
+	"slices"
+
 	"unimem/internal/machine"
 	"unimem/internal/phase"
 )
@@ -127,31 +129,6 @@ func (p *Phase) CommBytesAt(iter int) int64 {
 	return p.CommBytes
 }
 
-// ContentKey digests everything this phase will do at the given
-// iteration that is rank-independent: kind, MPI operation and its
-// scheduled volume, flops, skew, and the full ground-truth reference
-// list. Two iterations with equal ContentKeys for every phase present
-// identical work to the simulator (per-rank scaling is a pure function
-// of the folded skew), which is what the analytic fast path's forward
-// scan relies on to bound a stable window.
-func (p *Phase) ContentKey(iter int) phase.Key {
-	d := phase.NewDigest().
-		Int(int(p.Kind)).
-		Int(int(p.Comm)).
-		Int64(p.CommBytesAt(iter)).
-		Float64(p.Flops).
-		Float64(p.RankSkew)
-	if p.Refs != nil {
-		for _, r := range p.Refs(iter) {
-			d = d.String(r.Object).
-				Int64(r.Accesses).
-				Float64(r.ReadFrac).
-				Int(int(r.Pattern))
-		}
-	}
-	return d.Key()
-}
-
 // RankScale returns the phase's load-imbalance factor for one rank of a
 // world of the given size.
 func (p *Phase) RankScale(rank, ranks int) float64 {
@@ -180,33 +157,42 @@ type Workload struct {
 	// but differ anywhere in their spec never share cached results.
 	SpecDigest string
 	// ContentEpochs optionally declares, in increasing order, every
-	// iteration at which any phase's rank-independent content (content
-	// key) differs from the previous iteration's. A non-nil slice
-	// (possibly empty: fully stationary) is an exhaustive declaration —
-	// within two consecutive epochs all content keys are constant — which
-	// bounds each fast-path window in O(log #epochs). nil means unknown:
-	// the harness derives the epochs with ComputeContentEpochs once per
-	// run. Scenario compilation, which materializes per-iteration content
-	// anyway, declares them at compile time instead.
+	// iteration at which any phase's rank-independent content (scheduled
+	// communication volume or ground-truth reference list) differs from
+	// the previous iteration's. A non-nil slice (possibly empty: fully
+	// stationary) is an exhaustive declaration — two iterations with no
+	// epoch in (i, j] present identical content — so the fast path bounds
+	// each window with one binary search. nil means unknown: the harness
+	// derives the epochs with ComputeContentEpochs once per run. Scenario
+	// compilation, which materializes per-iteration content anyway,
+	// declares them at compile time instead.
 	ContentEpochs []int
 }
 
 // ComputeContentEpochs derives the workload's content epochs (see
-// ContentEpochs) by a single forward pass over every phase's content
-// keys. It does not modify w.
+// ContentEpochs) by comparing every phase's scheduled communication
+// volume and reference list with the previous iteration's. Kind, MPI
+// operation, flops and skew are fixed per phase, so they never start an
+// epoch. Reference lists are copied before comparison, so a Refs function
+// may reuse its result buffer. It does not modify w.
 func (w *Workload) ComputeContentEpochs() []int {
 	epochs := []int{}
-	prev := make([]phase.Key, len(w.Phases))
-	for pi := range w.Phases {
-		prev[pi] = w.Phases[pi].ContentKey(0)
-	}
-	for iter := 1; iter < w.Iterations; iter++ {
+	prev := make([][]phase.Ref, len(w.Phases))
+	var cur []phase.Ref
+	for iter := 0; iter < w.Iterations; iter++ {
+		changed := false
 		for pi := range w.Phases {
-			k := w.Phases[pi].ContentKey(iter)
-			if k != prev[pi] && (len(epochs) == 0 || epochs[len(epochs)-1] != iter) {
-				epochs = append(epochs, iter)
+			p := &w.Phases[pi]
+			cur = cur[:0]
+			if p.Refs != nil {
+				cur = append(cur, p.Refs(iter)...)
 			}
-			prev[pi] = k
+			changed = changed || iter > 0 &&
+				(p.CommBytesAt(iter) != p.CommBytesAt(iter-1) || !slices.Equal(cur, prev[pi]))
+			prev[pi], cur = cur, prev[pi]
+		}
+		if changed {
+			epochs = append(epochs, iter)
 		}
 	}
 	return epochs
