@@ -175,10 +175,10 @@ func Run(w *workloads.Workload, m *machine.Machine, opts Options, mf ManagerFact
 }
 
 // RunCtx is Run bounded by a context: when ctx is cancelled mid-run the
-// simulated world is aborted — ranks parked in collectives or receives
-// wake immediately and unwind through the simulator's abort sentinel,
-// running ranks stop at their next phase boundary or MPI call — and RunCtx
-// returns ctx's error.
+// simulated world is aborted — the running rank stops at its next phase
+// boundary or MPI call, then ranks parked in collectives or receives wake
+// one at a time and unwind through the simulator's abort sentinel — and
+// RunCtx returns ctx's error.
 // Results of a cancelled run are never returned. A background context adds
 // no overhead beyond one atomic load per phase.
 func RunCtx(ctx context.Context, w *workloads.Workload, m *machine.Machine, opts Options, mf ManagerFactory) (*Result, error) {
@@ -191,18 +191,11 @@ func RunCtx(ctx context.Context, w *workloads.Workload, m *machine.Machine, opts
 	opts.fill(w)
 	world := mpisim.NewWorld(opts.Ranks, m)
 
-	// The watcher ferries a context cancellation into a world abort; runDone
-	// retires it on the normal path so background runs leak nothing.
+	// A context cancellation aborts the world; stop deregisters the hook
+	// on the normal path, and a background context registers nothing.
 	if ctx.Done() != nil {
-		runDone := make(chan struct{})
-		defer close(runDone)
-		go func() {
-			select {
-			case <-ctx.Done():
-				world.Abort()
-			case <-runDone:
-			}
-		}()
+		stop := context.AfterFunc(ctx, world.Abort)
+		defer stop()
 	}
 
 	// One set of tier coordination services per node (a NodeService per

@@ -57,17 +57,6 @@ func (a *Arena) Used() int64 { return a.used }
 // Avail returns the number of free bytes (possibly fragmented).
 func (a *Arena) Avail() int64 { return a.capacity - a.used }
 
-// LargestFree returns the size of the largest contiguous free extent.
-func (a *Arena) LargestFree() int64 {
-	var max int64
-	for _, r := range a.free {
-		if r.size > max {
-			max = r.size
-		}
-	}
-	return max
-}
-
 // Alloc reserves size bytes and returns the offset of the reservation, or
 // ErrNoSpace if no contiguous extent is large enough.
 func (a *Arena) Alloc(size int64) (int64, error) {

@@ -1,6 +1,7 @@
 package mpisim
 
 import (
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -115,23 +116,83 @@ func TestAbortMidCollective4kPromptness(t *testing.T) {
 	}
 }
 
-// TestDeadlockDetected: when every live rank is blocked on a peer, Run
-// panics with a diagnostic instead of hanging (the old engine hung).
-func TestDeadlockDetected(t *testing.T) {
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("deadlocked world did not panic")
-		}
-		msg, ok := p.(string)
-		if !ok || !strings.Contains(msg, "deadlock") {
-			t.Fatalf("panic %v, want a deadlock diagnostic", p)
-		}
-	}()
-	w := NewWorld(2, machine.PlatformA())
+// TestAbortCleanupIsSingleOwner: ranks that recover the abort sentinel
+// to clean up run one at a time, so their cleanups may share plain state.
+// Rank 0 aborts after every peer has parked in a Barrier; every rank's
+// cleanup appends to an unsynchronised slice, which must end up holding
+// each rank exactly once (and -race must stay quiet).
+func TestAbortCleanupIsSingleOwner(t *testing.T) {
+	const p = 64
+	w := NewWorld(p, machine.PlatformA())
+	var cleaned []int
 	w.Run(func(c *Comm) {
-		c.Recv(1-c.Rank(), 7) // both ranks wait; nobody sends
+		defer func() {
+			if r := recover(); IsAbort(r) {
+				cleaned = append(cleaned, c.Rank())
+			} else if r != nil {
+				panic(r)
+			}
+		}()
+		switch c.Rank() {
+		case 0:
+			c.Recv(1, 99) // wakes only after every peer has parked
+			w.Abort()
+		case 1:
+			c.Send(0, 99, 8, nil)
+		}
+		c.Barrier()
 	})
+	if len(cleaned) != p {
+		t.Fatalf("recorded %d cleanups, want %d", len(cleaned), p)
+	}
+	seen := make([]bool, p)
+	for _, r := range cleaned {
+		if seen[r] {
+			t.Fatalf("rank %d cleaned up twice", r)
+		}
+		seen[r] = true
+	}
+}
+
+// runPanic runs body on w and returns the value Run panicked with (nil if
+// it returned), after checking that no rank goroutine outlives Run.
+func runPanic(t *testing.T, w *World, body func(c *Comm)) (p interface{}) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	func() {
+		defer func() { p = recover() }()
+		w.Run(body)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running after Run returned, want %d",
+				runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return p
+}
+
+// TestDeadlockDetected: when every live rank is blocked on a peer, Run
+// panics with a diagnostic instead of hanging (the old engine hung), and
+// every rank goroutine unwinds.
+func TestDeadlockDetected(t *testing.T) {
+	for _, tc := range []struct {
+		p    int
+		want string
+	}{
+		{2, "all 2 live ranks blocked (2 in Recv"},
+		{4096, "all 4096 live ranks blocked (4096 in Recv"},
+	} {
+		p := runPanic(t, NewWorld(tc.p, machine.PlatformA()), func(c *Comm) {
+			c.Recv((c.Rank()+1)%c.Size(), 7) // every rank waits; nobody sends
+		})
+		msg, ok := p.(string)
+		if !ok || !strings.Contains(msg, "mpisim: deadlock") || !strings.Contains(msg, tc.want) {
+			t.Fatalf("%d ranks: panic %v, want a deadlock diagnostic containing %q", tc.p, p, tc.want)
+		}
+	}
 }
 
 // TestRunTwicePanics: worlds are single-use.

@@ -8,10 +8,11 @@
 //
 // The world is a discrete-event scheduler, not a pool of free-running
 // goroutines. Rank bodies are resumable coroutines: each rank does run on
-// its own goroutine, but exactly one is awake at a time, and control is
-// handed off through per-rank scheduler channels — a rank that blocks (a
-// receive with no matching message, a collective still waiting for peers)
-// registers its wake condition, dispatches the next runnable rank from a
+// its own goroutine, but exactly one is awake at a time, from the moment
+// Run starts until it returns, and control is handed off through per-rank
+// scheduler channels — a rank that blocks (a receive with no matching
+// message, a collective still waiting for peers) registers its wake
+// condition, dispatches the next runnable rank from a
 // virtual-clock-ordered priority queue, and parks until a peer's event
 // completes it. Point-to-point messages live in sparse per-pair FIFO
 // queues allocated on first use, sends never block (unbounded queues, so
@@ -20,10 +21,10 @@
 // every waiter runnable.
 //
 // Because scheduler state is only ever touched by the single running rank,
-// the engine needs no locks on its hot path, allocates O(P) per world
-// (against the retired engine's eager ranks² mailbox matrix), and detects
-// true deadlock: if every live rank is blocked, Run panics with a
-// diagnostic instead of hanging.
+// the engine needs no locks, allocates O(P) per world (against the retired
+// engine's eager ranks² mailbox matrix), and detects true deadlock: if
+// every live rank is blocked, Run panics with a diagnostic instead of
+// hanging.
 //
 // The previous implementation — one free-running goroutine per rank,
 // buffered-channel mailboxes, sync.Cond collectives — is retired to
@@ -41,10 +42,13 @@
 // # Abort
 //
 // Abort poisons the world. Every MPI operation attempted after the abort
-// panics with a private sentinel that Run recovers and swallows (ranks
-// parked mid-operation wake and unwind the same way), so a cancelled run
-// tears down promptly without ever returning nil payloads that could be
-// mistaken for genuine empty messages. Rank bodies that must clean up
+// panics with a private sentinel that Run recovers and swallows, so a
+// cancelled run tears down promptly without ever returning nil payloads
+// that could be mistaken for genuine empty messages. Teardown keeps the
+// single-owner discipline: the dispatch token visits the remaining ranks
+// one at a time in rank order, and each wakes, unwinds with the sentinel
+// and passes the token on. A deadlock or a real panic in a rank body
+// tears the world down the same way. Rank bodies that must clean up
 // per-rank state on that path can recover the sentinel themselves — see
 // IsAbort.
 //
@@ -55,9 +59,7 @@
 package mpisim
 
 import (
-	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"unimem/internal/machine"
@@ -91,17 +93,9 @@ type World struct {
 	P    int
 	Mach *machine.Machine
 
-	sched *sched
-
-	// abortCh is closed by Abort; parked ranks select on it so none stays
-	// asleep after the world is torn down.
-	abortCh   chan struct{}
-	abortOnce sync.Once
-	aborted   atomic.Bool
-	ran       atomic.Bool
-	// deadlockDiag is set (inside abortOnce) when the scheduler detected
-	// that every live rank was blocked; Run re-panics it after teardown.
-	deadlockDiag string
+	sched   *sched
+	aborted atomic.Bool
+	ran     atomic.Bool
 }
 
 // NewWorld creates a world of p ranks over the given machine. Allocation
@@ -110,23 +104,18 @@ func NewWorld(p int, m *machine.Machine) *World {
 	if p <= 0 {
 		panic("mpisim: world size must be positive")
 	}
-	w := &World{P: p, Mach: m, abortCh: make(chan struct{})}
+	w := &World{P: p, Mach: m}
 	w.sched = newSched(w)
 	return w
 }
 
-// Abort poisons the world: every rank parked in a communication operation
-// wakes immediately, and every in-progress or future MPI operation panics
-// with the abort sentinel, which Run recovers per rank (see IsAbort).
-// Results of an aborted run are meaningless and must be discarded. Abort is
-// idempotent and safe from any goroutine — it is how a context cancellation
-// reaches ranks parked inside collectives.
-func (w *World) Abort() {
-	w.abortOnce.Do(func() {
-		w.aborted.Store(true)
-		close(w.abortCh)
-	})
-}
+// Abort poisons the world: the running rank's next MPI operation panics
+// with the abort sentinel, and from then on the dispatch token wakes each
+// parked rank in turn, which unwinds with the sentinel too; Run recovers
+// it per rank (see IsAbort). Results of an aborted run are meaningless and
+// must be discarded. Abort is idempotent and safe from any goroutine — it
+// is how a context cancellation reaches ranks parked inside collectives.
+func (w *World) Abort() { w.aborted.Store(true) }
 
 // Aborted reports whether Abort has been called.
 func (w *World) Aborted() bool { return w.aborted.Load() }
@@ -138,15 +127,17 @@ func (abortPanic) String() string { return "mpisim: world aborted" }
 
 // IsAbort reports whether a recovered panic value is the world-abort
 // sentinel. Rank bodies that own external resources recover it to clean
-// up, then re-panic or return; Run swallows it.
+// up, then re-panic or return; Run swallows it. Cleanups run one rank at a
+// time, in the single-owner discipline of the whole world, so they may
+// share state with other ranks' cleanups without synchronisation.
 func IsAbort(p interface{}) bool {
 	_, ok := p.(abortPanic)
 	return ok
 }
 
 // Run executes body as P resumable coroutines and blocks until every rank
-// returns (or unwinds through an abort). Non-abort panics in rank bodies
-// poison the world so blocked peers unwind, then propagate from Run; a
+// returns (or unwinds through an abort). A non-abort panic in a rank body
+// poisons the world so blocked peers unwind, then propagates from Run; a
 // detected deadlock (every live rank blocked on a peer) propagates as a
 // "mpisim: deadlock" panic with a diagnostic.
 func (w *World) Run(body func(c *Comm)) {
@@ -154,49 +145,21 @@ func (w *World) Run(body func(c *Comm)) {
 		panic("mpisim: World.Run called twice (worlds are single-use)")
 	}
 	s := w.sched
-	var wg sync.WaitGroup
-	panics := make(chan interface{}, w.P)
 	for _, c := range s.ranks {
-		wg.Add(1)
 		go func(c *Comm) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					if IsAbort(p) {
-						return // sanctioned teardown
-					}
-					// A real panic: poison the world so parked peers
-					// unwind instead of waiting for this rank forever.
-					w.Abort()
-					panics <- fmt.Sprintf("rank %d: %v", c.rank, p)
-				}
-			}()
-			// Park until dispatched (or the world dies first).
-			select {
-			case <-c.resume:
-			case <-w.abortCh:
-				panic(abortPanic{})
-			}
+			defer func() { s.retire(c, recover()) }()
+			s.park(c)
 			body(c)
-			// On an aborted world the scheduler is no longer owned by
-			// anyone (peers unwind concurrently off abortCh), so a body
-			// that returns during teardown — e.g. after recovering the
-			// sentinel itself — must not touch the run queue.
-			if !w.aborted.Load() {
-				s.finish(c)
-			}
 		}(c)
 	}
 	s.start()
-	wg.Wait()
+	<-s.done
 	s.flushStats()
-	select {
-	case p := <-panics:
-		panic(p)
-	default:
+	if s.panicked != "" {
+		panic(s.panicked)
 	}
-	if w.deadlockDiag != "" {
-		panic(w.deadlockDiag)
+	if s.deadlock != "" {
+		panic(s.deadlock)
 	}
 }
 

@@ -211,17 +211,34 @@ func TestAdvancePanicsOnNegative(t *testing.T) {
 	})
 }
 
+// TestRankPanicPropagates: a real panic in one rank poisons the world,
+// unwinds every parked peer and propagates out of Run with the rank id.
 func TestRankPanicPropagates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("rank panic should propagate out of Run")
+	for _, tc := range []struct {
+		p    int
+		body func(c *Comm)
+		want string
+	}{
+		{2, func(c *Comm) {
+			if c.Rank() == 1 {
+				panic("boom")
+			}
+		}, "rank 1: boom"},
+		{4096, func(c *Comm) {
+			switch c.Rank() {
+			case 0:
+				c.Recv(1, 99) // wakes only after every peer has parked
+				panic("boom")
+			case 1:
+				c.Send(0, 99, 8, nil)
+			}
+			c.Barrier()
+		}, "rank 0: boom"},
+	} {
+		if v := runPanic(t, world(tc.p), tc.body); v != tc.want {
+			t.Fatalf("%d ranks: Run panicked with %v, want %q", tc.p, v, tc.want)
 		}
-	}()
-	world(2).Run(func(c *Comm) {
-		if c.Rank() == 1 {
-			panic("boom")
-		}
-	})
+	}
 }
 
 func TestManyRanks(t *testing.T) {

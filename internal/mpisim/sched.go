@@ -12,8 +12,10 @@ import (
 // moment, it alone mutates scheduler state, and ownership moves with the
 // dispatch token sent on the next rank's resume channel (channel
 // send/receive pairs give the happens-before edges the race detector
-// wants). Abort is the only external input; it never touches scheduler
-// state — it closes abortCh and lets parked ranks unwind themselves.
+// wants). Teardown moves the same token: once the world is aborted —
+// externally, by a deadlock or by a rank panic — dispatchNext passes it
+// to the remaining ranks in rank order, each unwinds and retires, and the
+// last to retire closes done for Run. Abort itself only sets a flag.
 
 type rankState uint8
 
@@ -33,6 +35,15 @@ type sched struct {
 	live  int // ranks whose body has not returned
 	coll  collState
 	vote  pollState
+	// cursor is the teardown dispatch position: every rank below it has
+	// retired.
+	cursor int
+	// done is closed by the last rank to retire.
+	done chan struct{}
+	// panicked is the first real rank panic and deadlock the deadlock
+	// diagnostic; Run re-panics them after teardown.
+	panicked string
+	deadlock string
 
 	// Event-core tallies, mutated only by the owning coroutine and
 	// flushed to package atomics after the world completes (stats.go).
@@ -53,7 +64,7 @@ type collState struct {
 }
 
 func newSched(w *World) *sched {
-	s := &sched{w: w, ranks: make([]*Comm, w.P), live: w.P}
+	s := &sched{w: w, ranks: make([]*Comm, w.P), live: w.P, done: make(chan struct{})}
 	s.runq = make(runHeap, 0, w.P)
 	for r := 0; r < w.P; r++ {
 		s.ranks[r] = &Comm{world: w, rank: r, resume: make(chan struct{}, 1)}
@@ -77,22 +88,34 @@ func (s *sched) start() {
 // dispatchNext hands the scheduler to the earliest-clock runnable rank.
 // If nothing is runnable but live ranks remain, every one of them is
 // parked on a condition only another rank could satisfy — a true
-// deadlock — and the world is torn down with a diagnostic.
+// deadlock — and the world is torn down with a diagnostic. On an aborted
+// world the token goes to the lowest-numbered live rank instead, which
+// wakes in park and unwinds. Callers guarantee a live rank exists.
 func (s *sched) dispatchNext() {
-	if len(s.runq) > 0 {
-		next := heap.Pop(&s.runq).(*Comm)
-		next.state = stRunning
-		s.events++
-		next.resume <- struct{}{}
-		return
-	}
-	if s.w.aborted.Load() {
-		// Teardown in progress: parked ranks are waking on abortCh on
-		// their own; there is nobody to dispatch and nothing to diagnose.
-		return
-	}
-	if s.live > 0 {
+	if !s.w.aborted.Load() {
+		if len(s.runq) > 0 {
+			next := heap.Pop(&s.runq).(*Comm)
+			next.state = stRunning
+			s.events++
+			next.resume <- struct{}{}
+			return
+		}
 		s.failDeadlock()
+	}
+	for s.ranks[s.cursor].state == stDone {
+		s.cursor++
+	}
+	// The resume channel holds one token, so this also works when the
+	// next live rank is the caller, about to park in yield.
+	s.ranks[s.cursor].resume <- struct{}{}
+}
+
+// park blocks the calling rank until the dispatch token arrives, and
+// unwinds it with the sentinel if the world has been aborted.
+func (s *sched) park(c *Comm) {
+	<-c.resume
+	if s.w.aborted.Load() {
+		panic(abortPanic{})
 	}
 }
 
@@ -101,29 +124,32 @@ func (s *sched) dispatchNext() {
 // and returns when a peer's event completes it.
 func (s *sched) yield(c *Comm) {
 	s.dispatchNext()
-	select {
-	case <-c.resume:
-		if s.w.aborted.Load() {
-			panic(abortPanic{})
-		}
-	case <-s.w.abortCh:
-		panic(abortPanic{})
-	}
+	s.park(c)
 }
 
-// finish retires a completed rank and dispatches the next.
-func (s *sched) finish(c *Comm) {
+// retire runs, deferred, as each rank goroutine exits, with the value the
+// rank's body panicked with (nil if it returned). A real panic is
+// recorded and poisons the world so the parked peers unwind instead of
+// waiting for this rank forever. The last rank to retire wakes Run; every
+// other passes the token on.
+func (s *sched) retire(c *Comm, p interface{}) {
+	if p != nil && !IsAbort(p) && s.panicked == "" {
+		s.panicked = fmt.Sprintf("rank %d: %v", c.rank, p)
+		s.w.aborted.Store(true)
+	}
 	c.state = stDone
 	s.live--
-	if s.live > 0 || len(s.runq) > 0 {
-		s.dispatchNext()
+	if s.live == 0 {
+		close(s.done)
+		return
 	}
+	s.dispatchNext()
 }
 
-// failDeadlock records a diagnostic, poisons the world so every parked
-// rank unwinds, and unwinds the caller. If an external Abort won the race
-// the diagnostic is dropped — an aborted world hanging on blocked ranks is
-// the sanctioned teardown, not a deadlock.
+// failDeadlock records a diagnostic and poisons the world so every parked
+// rank unwinds. If an external Abort won the race the diagnostic is
+// dropped — an aborted world hanging on blocked ranks is the sanctioned
+// teardown, not a deadlock.
 func (s *sched) failDeadlock() {
 	var recvs, colls int
 	var example *Comm
@@ -150,12 +176,9 @@ func (s *sched) failDeadlock() {
 		diag += fmt.Sprintf("; e.g. rank %d waiting in a collective (%d of %d ranks arrived)",
 			example.rank, s.coll.count, s.w.P)
 	}
-	s.w.abortOnce.Do(func() {
-		s.w.deadlockDiag = diag
-		s.w.aborted.Store(true)
-		close(s.w.abortCh)
-	})
-	panic(abortPanic{})
+	if s.w.aborted.CompareAndSwap(false, true) {
+		s.deadlock = diag
+	}
 }
 
 // send charges the caller's injection overhead and delivers the message:

@@ -60,8 +60,8 @@ func (s *sched) noteRunq() {
 }
 
 // flushStats publishes the world's tallies to the package atomics.
-// Called once from Run after wg.Wait() — the goroutine join gives the
-// happens-before edge from the last scheduler mutation.
+// Called once from Run after the last rank retires — closing done gives
+// the happens-before edge from the last scheduler mutation.
 func (s *sched) flushStats() {
 	statWorlds.Add(1)
 	statEvents.Add(s.events)

@@ -357,7 +357,7 @@ func (s *Session) Stream(ctx context.Context, jobs []Job) <-chan Outcome {
 	// not yet delivered, the delivery cursor, and the two termination
 	// signals. cond coordinates three parties — workers waiting for the
 	// window to slide, the emitter waiting for its next slot to fill, and
-	// the watcher broadcasting cancellation/pool-exit.
+	// the context hook broadcasting cancellation.
 	st := struct {
 		sync.Mutex
 		cond      *sync.Cond
@@ -369,17 +369,12 @@ func (s *Session) Stream(ctx context.Context, jobs []Job) <-chan Outcome {
 	}{ring: make([]Outcome, window), filled: make([]bool, window)}
 	st.cond = sync.NewCond(&st.Mutex)
 
-	poolExit := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			st.Lock()
-			st.cancelled = true
-			st.cond.Broadcast()
-			st.Unlock()
-		case <-poolExit:
-		}
-	}()
+	stopWatch := context.AfterFunc(ctx, func() {
+		st.Lock()
+		st.cancelled = true
+		st.cond.Broadcast()
+		st.Unlock()
+	})
 	go func() {
 		s.eng.ForEach(ctx, s.workers, n, func(i int) error {
 			st.Lock()
@@ -402,7 +397,7 @@ func (s *Session) Stream(ctx context.Context, jobs []Job) <-chan Outcome {
 			st.Unlock()
 			return nil
 		})
-		close(poolExit)
+		stopWatch()
 		st.Lock()
 		st.poolDone = true
 		st.cond.Broadcast()
