@@ -1,6 +1,6 @@
-// Command unimem-loadgen replays scenario-generator fleets against one or
-// more unimem-serve nodes at a configured rate and reports the latency
-// distribution, cache hit rate and per-node request split.
+// Command unimem-loadgen replays scenario-generator fleets against one
+// unimem-serve daemon at a configured rate and reports the latency
+// distribution and cache hit rate.
 //
 // Pacing is open-loop (see internal/loadgen): every request's fire time is
 // fixed up front and latency is charged from that schedule, so a stalled
@@ -8,9 +8,9 @@
 //
 // Usage:
 //
-//	unimem-loadgen -targets http://localhost:8080 -qps 200 -duration 10s
-//	unimem-loadgen -targets http://a:8080,http://b:8080 -qps 500 -requests 2000 -json report.json
-//	unimem-loadgen -targets http://localhost:8080 -archetype stable -scenarios 4 -strategy xmem -qps 100 -duration 5s
+//	unimem-loadgen -target http://localhost:8080 -qps 200 -duration 10s
+//	unimem-loadgen -target http://localhost:8080 -qps 500 -requests 2000 -json report.json
+//	unimem-loadgen -target http://localhost:8080 -archetype stable -scenarios 4 -strategy xmem -qps 100 -duration 5s
 //
 // The human-readable summary goes to stderr; -json writes the full report
 // document ("-" for stdout). The process exits 1 when any request failed,
@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -34,7 +33,7 @@ import (
 
 func main() {
 	var (
-		targets     = flag.String("targets", "http://localhost:8080", "comma-separated node base URLs; requests round-robin across them")
+		target      = flag.String("target", "http://localhost:8080", "daemon base URL")
 		qps         = flag.Float64("qps", 100, "aggregate open-loop request rate")
 		duration    = flag.Duration("duration", 0, "run length (ignored when -requests is set)")
 		requests    = flag.Int("requests", 0, "total request count (0: derive from -qps x -duration)")
@@ -51,18 +50,11 @@ func main() {
 	)
 	flag.Parse()
 
-	var tgts []loadgen.Target
-	for _, u := range strings.Split(*targets, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			tgts = append(tgts, loadgen.Target{Base: u})
-		}
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	rep, err := loadgen.Run(ctx, loadgen.Config{
-		Targets:   tgts,
+		Target:    *target,
 		QPS:       *qps,
 		Requests:  *requests,
 		Duration:  *duration,
@@ -81,10 +73,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-
-	for node, ns := range rep.PerNode {
-		fmt.Fprintf(os.Stderr, "loadgen: node %s served %d requests (%d hits)\n", node, ns.Requests, ns.Hits)
 	}
 
 	if *jsonOut != "" {

@@ -7,19 +7,15 @@
 //
 //	unimem-serve -addr :8080 -cache-dir /var/lib/unimem -max-entries 4096
 //	unimem-serve -addr :8080 -log-level debug -debug-addr 127.0.0.1:6060
-//	unimem-serve -addr :8081 -self http://b:8081 -peers http://a:8080,http://b:8081 -warm-from-peers
 //
 // -log-level selects the slog threshold (debug/info/warn/error) for the
 // structured request log on stderr; -debug-addr serves net/http/pprof on
 // a second, private listener (keep it off public interfaces).
 //
-// -peers turns the daemon into one node of a cluster: run keys hash onto
-// a consistent ring over the peer list, requests owned by a reachable
-// peer are forwarded there, and an unreachable owner degrades to local
-// execution (never an error). -self names this node's entry in the peer
-// list; -warm-from-peers merges every remote peer's cache snapshot before
-// serving, so a node joining an established fleet starts warm. See the
-// README's "Cluster" section.
+// GET /snapshot and POST /snapshot/merge exchange run caches between
+// independent daemons: merging one daemon's snapshot into another makes
+// every run the first has completed a cache hit on the second. See the
+// README's "Snapshot exchange" section.
 //
 // On SIGINT/SIGTERM the daemon marks /readyz not-ready, drains in-flight
 // requests and saves the cache snapshot (when -cache-dir is set), so the
@@ -43,7 +39,6 @@ import (
 	"syscall"
 	"time"
 
-	"unimem/internal/cluster"
 	"unimem/internal/serve"
 )
 
@@ -90,13 +85,6 @@ func main() {
 		noMetrics  = flag.Bool("no-metrics", false, "disable the /metrics registry, latency histograms and the /debug/runs ring")
 		slowReq    = flag.Duration("slow-request", 0, "warn-log requests slower than this (0: 30s default)")
 		debugRuns  = flag.Int("debug-runs", 0, "size of the /debug/runs recent-run ring (0: 64)")
-
-		self        = flag.String("self", "", "this node's base URL in -peers (required with -peers)")
-		peers       = flag.String("peers", "", "comma-separated cluster peer base URLs including this node (empty: single-node)")
-		peerTimeout = flag.Duration("peer-timeout", 2*time.Second, "per-attempt forward timeout")
-		peerRetries = flag.Int("peer-retries", 1, "extra forward attempts after a failure, before falling back locally")
-		peerBackoff = flag.Duration("peer-backoff", 100*time.Millisecond, "base retry backoff, doubled per attempt")
-		warmPeers   = flag.Bool("warm-from-peers", false, "merge every remote peer's cache snapshot before serving")
 	)
 	flag.Parse()
 
@@ -123,45 +111,6 @@ func main() {
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "unimem-serve: %v\n", err)
-		os.Exit(2)
-	}
-
-	if *peers != "" {
-		if *self == "" {
-			fmt.Fprintln(os.Stderr, "unimem-serve: -peers requires -self (this node's base URL in the peer list)")
-			os.Exit(2)
-		}
-		var list []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				list = append(list, p)
-			}
-		}
-		cl := cluster.New(cluster.Config{
-			Self:           *self,
-			Peers:          list,
-			ForwardTimeout: *peerTimeout,
-			Retries:        *peerRetries,
-			Backoff:        *peerBackoff,
-		})
-		found := false
-		for _, p := range cl.Peers() {
-			if p == cl.Self() {
-				found = true
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "unimem-serve: -self %s does not appear in -peers %s\n", *self, *peers)
-			os.Exit(2)
-		}
-		srv.SetCluster(cl)
-		log.Printf("unimem-serve: cluster of %d peer(s), self %s", len(cl.Peers()), cl.Self())
-		if *warmPeers {
-			added := srv.WarmStartFromPeers(context.Background())
-			log.Printf("unimem-serve: warm-started %d entries from peers", added)
-		}
-	} else if *warmPeers {
-		fmt.Fprintln(os.Stderr, "unimem-serve: -warm-from-peers requires -peers")
 		os.Exit(2)
 	}
 

@@ -156,19 +156,6 @@ func (r *Result) TotalBytesMigrated() int64 {
 	return n
 }
 
-// MaxOverheadFrac returns the largest per-rank runtime overhead fraction.
-func (r *Result) MaxOverheadFrac() float64 {
-	var f float64
-	for _, rr := range r.Ranks {
-		if rr.TimeNS > 0 {
-			if g := rr.OverheadNS / float64(rr.TimeNS); g > f {
-				f = g
-			}
-		}
-	}
-	return f
-}
-
 // Run executes the workload on a fresh world under managers built by mf.
 func Run(w *workloads.Workload, m *machine.Machine, opts Options, mf ManagerFactory) (*Result, error) {
 	return RunCtx(context.Background(), w, m, opts, mf)

@@ -56,27 +56,11 @@ type RunKey struct {
 }
 
 // String renders the key as one stable line: every field in declaration
-// order, "|"-separated. It is the unit both the shard hash and the cluster
-// layer's consistent-hash ring operate on — two processes built from the
-// same source render identical strings for identical runs, which is what
-// lets independent daemons agree on a key's owning peer without
-// coordination.
+// order, "|"-separated. The shard hash operates on it.
 func (k RunKey) String() string {
 	return fmt.Sprintf("%s|%s|%s|%s|%d|%d|%d|%d",
 		k.Workload, k.Spec, k.Machine, k.Strategy,
 		k.Ranks, k.RPN, k.Seed, k.Chunk)
-}
-
-// RouteKey derives the routing identity of one prospective run: the same
-// RunKey the engine would cache it under — Quick prep, the strategy's
-// target-machine derivation and its cache-key name included — rendered as
-// a stable string. The serve layer hashes it onto the cluster's
-// consistent-hash ring, so the peer that owns a key is exactly the peer
-// whose run cache will hold (or already holds) the memoized result.
-func RouteKey(w *workloads.Workload, m *machine.Machine, st Strategy, quick bool, opts app.Options) string {
-	w = prepQuick(w, quick)
-	m = st.targetMachine(m)
-	return keyFor(w, m, st.cacheKey(), opts).String()
 }
 
 // keyFor builds the cache key for running w on m under the named placement

@@ -90,9 +90,7 @@ func (e *Engine) Stats() CacheStats {
 	return cache.Stats()
 }
 
-// prepQuick applies Quick-mode iteration capping. It is a free function —
-// not engine state — because the cluster route key must reproduce the
-// exact workload the cache will key on (see RouteKey).
+// prepQuick applies Quick-mode iteration capping.
 func prepQuick(w *workloads.Workload, quick bool) *workloads.Workload {
 	if quick && w.Iterations > 12 {
 		cp := *w

@@ -10,8 +10,6 @@ import (
 	"testing"
 
 	"unimem/internal/app"
-	"unimem/internal/machine"
-	"unimem/internal/workloads"
 )
 
 // mergeDoc marshals a snapshot document from explicit entries.
@@ -200,39 +198,5 @@ func TestMergeSnapshotWhileServing(t *testing.T) {
 	}
 	if int64(st.Entries)+st.Evictions > st.Misses+st.Loaded {
 		t.Fatalf("stats incoherent after racing merges: %+v", st)
-	}
-}
-
-// TestRouteKeyStableAndCacheAligned: RouteKey must be a pure function of
-// the request (two processes agree), must separate distinct runs, and must
-// reflect the same Quick prep and target-machine derivation the cache key
-// uses — the property that makes ring ownership line up with cache
-// residency.
-func TestRouteKeyStableAndCacheAligned(t *testing.T) {
-	w := workloads.NewCG("C", 4)
-	m := machine.PlatformA().WithNVMBandwidthFraction(0.5)
-
-	a := RouteKey(w, m, StrategyXMem(), false, app.Options{Seed: 1})
-	b := RouteKey(w, m, StrategyXMem(), false, app.Options{Seed: 1})
-	if a == "" || a != b {
-		t.Fatalf("RouteKey not stable: %q vs %q", a, b)
-	}
-	if c := RouteKey(w, m, StrategyXMem(), false, app.Options{Seed: 2}); c == a {
-		t.Fatalf("RouteKey ignored the seed: %q", c)
-	}
-	if c := RouteKey(w, m, StrategyHintDensity(), false, app.Options{Seed: 1}); c == a {
-		t.Fatalf("RouteKey ignored the strategy: %q", c)
-	}
-	if w.Iterations > 12 {
-		if c := RouteKey(w, m, StrategyXMem(), true, app.Options{Seed: 1}); c == a {
-			t.Fatalf("RouteKey ignored Quick prep: %q", c)
-		}
-	}
-	// DRAM-only runs on a derived twin of the machine; the route key must
-	// follow the same derivation or it would hash onto a different peer
-	// than the peer whose cache holds the baseline.
-	dram := RouteKey(w, m, StrategyDRAMOnly(), false, app.Options{Seed: 1})
-	if dram == a {
-		t.Fatalf("RouteKey did not apply the strategy's machine derivation")
 	}
 }

@@ -4,9 +4,9 @@ package exp
 // versioned JSON format that a long-lived server (cmd/unimem-serve) writes
 // on shutdown and reads on startup — so a restarted process answers
 // previously-served deterministic runs as cache hits instead of
-// re-simulating them — and that cluster peers ship to each other over
-// HTTP (GET /snapshot → POST /snapshot/merge) so a fresh node warm-starts
-// from a running node's cache.
+// re-simulating them — and that independent daemons exchange over HTTP
+// (GET /snapshot → POST /snapshot/merge) so a fresh daemon warm-starts
+// from a running one's cache.
 //
 // Versioning is two-layered. The file carries an explicit format version
 // (SnapshotVersion) guarding the envelope; the entries version themselves
@@ -48,8 +48,8 @@ type snapshotFile struct {
 
 // snapshotEntry is one persisted run: its identity, its result and when it
 // completed. Errors and in-flight runs are never persisted — only
-// successful completed executions are worth warming a restart (or a peer)
-// with.
+// successful completed executions are worth warming a restart (or another
+// daemon) with.
 type snapshotEntry struct {
 	Key    RunKey      `json:"key"`
 	Result *app.Result `json:"result"`
@@ -171,8 +171,7 @@ type MergeStats struct {
 
 // MergeSnapshot merges a snapshot document (the bytes SaveSnapshot /
 // WriteSnapshot produce) into the live cache — the POST /snapshot/merge
-// wire path, and the engine of cluster warm-starts. Merging is safe while
-// the cache is serving.
+// wire path. Merging is safe while the cache is serving.
 //
 // The whole document is decoded and version-checked before the cache is
 // touched, so a corrupt or incompatible payload leaves the local cache

@@ -1,6 +1,6 @@
-// Package loadgen replays scenario-generator fleets against one or more
-// unimem-serve nodes at a configured rate and reports the latency
-// distribution, cache hit rate and per-node request split.
+// Package loadgen replays scenario-generator fleets against one
+// unimem-serve daemon at a configured rate and reports the latency
+// distribution and cache hit rate.
 //
 // Pacing is open-loop: every request has a fire time fixed up front
 // (start + i/QPS), and latency is measured from that scheduled time, not
@@ -11,7 +11,7 @@
 //
 // The generator is deterministic: the same seed, archetype selection and
 // scenario count produce byte-identical request bodies, so two loadgen
-// runs against different nodes populate the same key population and a
+// runs against different daemons populate the same key population and a
 // repeat run measures pure cache-hit traffic.
 package loadgen
 
@@ -31,25 +31,11 @@ import (
 	"unimem"
 )
 
-// nodeHeader is the response header unimem-serve sets to name the node
-// that executed the request (the forwarding target, not the proxy).
-// Mirrored here rather than imported so serve can import this package for
-// its benchmark harness without a cycle.
-const nodeHeader = "X-Unimem-Node"
-
-// Target is one node under load.
-type Target struct {
-	// Name labels the target in reports (default: Base).
-	Name string
-	// Base is the node's base URL, e.g. "http://localhost:8080".
-	Base string
-}
-
 // Config parameterizes one load run.
 type Config struct {
-	// Targets are the nodes to spread requests over, round-robin by
-	// request index. At least one is required.
-	Targets []Target
+	// Target is the daemon's base URL, e.g. "http://localhost:8080"
+	// (required).
+	Target string
 	// QPS is the aggregate open-loop request rate (required, > 0).
 	QPS float64
 	// Requests is the total request count. Zero derives it from
@@ -85,18 +71,10 @@ type Config struct {
 	Logf func(format string, args ...interface{})
 }
 
-// NodeStats is one executing node's share of the run, keyed by the
-// X-Unimem-Node response header (so a forwarded request is credited to
-// the node that executed it, not the one that proxied it).
-type NodeStats struct {
-	Requests int `json:"requests"`
-	Hits     int `json:"hits"`
-}
-
 // Report is the run's result document.
 type Report struct {
-	// Targets are the node base URLs requests were sent to.
-	Targets []string `json:"targets"`
+	// Target is the daemon base URL requests were sent to.
+	Target string `json:"target"`
 	// Strategy/Archetype/Scenarios/Seed echo the request population.
 	Strategy  string `json:"strategy"`
 	Archetype string `json:"archetype,omitempty"`
@@ -120,8 +98,6 @@ type Report struct {
 	P99US  float64 `json:"p99_us"`
 	P999US float64 `json:"p999_us"`
 	MaxUS  float64 `json:"max_us"`
-	// PerNode splits the run by executing node.
-	PerNode map[string]NodeStats `json:"per_node"`
 }
 
 // runBody mirrors serve's /run request shape (platform as a bare string,
@@ -144,7 +120,7 @@ type runReply struct {
 
 // Bodies generates the deterministic request-body population for cfg:
 // Scenarios specs per selected archetype, marshaled once. Exported so the
-// serve benchmark can pre-warm a cluster with the exact population a
+// serve replay gate can size a warm round to the exact population a
 // measured run will replay.
 func Bodies(cfg Config) ([][]byte, error) {
 	archetypes := unimem.ScenarioArchetypes()
@@ -210,8 +186,9 @@ func Bodies(cfg Config) ([][]byte, error) {
 // scheduling: requests not yet fired are dropped (they do not count as
 // errors), in-flight ones finish.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
-	if len(cfg.Targets) == 0 {
-		return nil, fmt.Errorf("loadgen: at least one target required")
+	target := strings.TrimRight(strings.TrimSpace(cfg.Target), "/")
+	if target == "" {
+		return nil, fmt.Errorf("loadgen: a target is required")
 	}
 	if cfg.QPS <= 0 {
 		return nil, fmt.Errorf("loadgen: QPS must be > 0 (got %g)", cfg.QPS)
@@ -250,17 +227,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	targets := make([]Target, len(cfg.Targets))
-	for i, t := range cfg.Targets {
-		targets[i] = t
-		targets[i].Base = strings.TrimRight(strings.TrimSpace(t.Base), "/")
-		if targets[i].Name == "" {
-			targets[i].Name = targets[i].Base
-		}
-	}
-
-	logf("loadgen: %d requests at %.1f QPS over %d target(s), %d bodies, %d workers",
-		total, cfg.QPS, len(targets), len(bodies), workers)
+	logf("loadgen: %d requests at %.1f QPS to %s, %d bodies, %d workers",
+		total, cfg.QPS, target, len(bodies), workers)
 
 	interval := time.Duration(float64(time.Second) / cfg.QPS)
 	start := time.Now()
@@ -269,10 +237,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// fixed fire time on the open-loop schedule.
 	var next int64
 	type shard struct {
-		latNS   []int64
-		errs    int
-		hits    int
-		perNode map[string]NodeStats
+		latNS []int64
+		errs  int
+		hits  int
 	}
 	shards := make([]shard, workers)
 	var wg sync.WaitGroup
@@ -280,7 +247,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		wg.Add(1)
 		go func(sh *shard) {
 			defer wg.Done()
-			sh.perNode = map[string]NodeStats{}
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
 				if i >= total {
@@ -296,22 +262,14 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 				} else if ctx.Err() != nil {
 					return
 				}
-				tgt := targets[i%len(targets)]
-				hit, node, err := fireOne(ctx, client, tgt, bodies[i%len(bodies)])
+				hit, err := fireOne(ctx, client, target, bodies[i%len(bodies)])
 				// Open-loop latency: charged from the scheduled fire time.
 				sh.latNS = append(sh.latNS, time.Since(fire).Nanoseconds())
-				if node == "" {
-					node = tgt.Name
-				}
-				ns := sh.perNode[node]
-				ns.Requests++
 				if err != nil {
 					sh.errs++
 				} else if hit {
 					sh.hits++
-					ns.Hits++
 				}
-				sh.perNode[node] = ns
 			}
 		}(&shards[w])
 	}
@@ -319,13 +277,13 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	elapsed := time.Since(start)
 
 	rep := &Report{
+		Target:     target,
 		Strategy:   cfg.Strategy,
 		Archetype:  cfg.Archetype,
 		Seed:       cfg.Seed,
 		Scenarios:  len(bodies),
 		TargetQPS:  cfg.QPS,
 		DurationNS: elapsed.Nanoseconds(),
-		PerNode:    map[string]NodeStats{},
 	}
 	if rep.Strategy == "" {
 		rep.Strategy = "xmem"
@@ -333,21 +291,12 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if rep.Seed == 0 {
 		rep.Seed = 1
 	}
-	for _, t := range targets {
-		rep.Targets = append(rep.Targets, t.Base)
-	}
 	var lat []int64
 	for i := range shards {
 		sh := &shards[i]
 		lat = append(lat, sh.latNS...)
 		rep.Errors += sh.errs
 		rep.Hits += sh.hits
-		for node, ns := range sh.perNode {
-			agg := rep.PerNode[node]
-			agg.Requests += ns.Requests
-			agg.Hits += ns.Hits
-			rep.PerNode[node] = agg
-		}
 	}
 	rep.Requests = len(lat)
 	if rep.Requests > 0 {
@@ -368,35 +317,33 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// fireOne sends one /run request and reports whether it was a cache hit
-// and which node executed it.
-func fireOne(ctx context.Context, client *http.Client, tgt Target, body []byte) (hit bool, node string, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, tgt.Base+"/run", bytes.NewReader(body))
+// fireOne sends one /run request and reports whether it was a cache hit.
+func fireOne(ctx context.Context, client *http.Client, target string, body []byte) (bool, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+"/run", bytes.NewReader(body))
 	if err != nil {
-		return false, "", err
+		return false, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := client.Do(req)
 	if err != nil {
-		return false, "", err
+		return false, err
 	}
 	defer resp.Body.Close()
-	node = resp.Header.Get(nodeHeader)
 	b, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return false, node, err
+		return false, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return false, node, fmt.Errorf("%s: status %d: %s", tgt.Name, resp.StatusCode, truncate(b, 200))
+		return false, fmt.Errorf("%s: status %d: %s", target, resp.StatusCode, truncate(b, 200))
 	}
 	var rr runReply
 	if err := json.Unmarshal(b, &rr); err != nil {
-		return false, node, fmt.Errorf("%s: decoding response: %w", tgt.Name, err)
+		return false, fmt.Errorf("%s: decoding response: %w", target, err)
 	}
 	if rr.Error != "" {
-		return false, node, fmt.Errorf("%s: job error: %s", tgt.Name, rr.Error)
+		return false, fmt.Errorf("%s: job error: %s", target, rr.Error)
 	}
-	return rr.CacheHit, node, nil
+	return rr.CacheHit, nil
 }
 
 func truncate(b []byte, n int) string {

@@ -15,10 +15,9 @@ import (
 )
 
 // stubNode is a minimal /run endpoint: it answers like unimem-serve (a
-// cache_hit JSON field, the X-Unimem-Node header) and reports a hit for
-// any body it has seen before, so repeat traffic measures as hits.
+// cache_hit JSON field) and reports a hit for any body it has seen
+// before, so repeat traffic measures as hits.
 type stubNode struct {
-	name string
 	mu   sync.Mutex
 	seen map[string]bool
 	reqs int
@@ -35,7 +34,6 @@ func (s *stubNode) handler() http.Handler {
 		hit := s.seen[key]
 		s.seen[key] = true
 		s.mu.Unlock()
-		w.Header().Set("X-Unimem-Node", s.name)
 		if s.fail != nil {
 			if code := s.fail(i); code != 0 {
 				w.WriteHeader(code)
@@ -47,9 +45,9 @@ func (s *stubNode) handler() http.Handler {
 	})
 }
 
-func newStub(t *testing.T, name string) (*stubNode, *httptest.Server) {
+func newStub(t *testing.T) (*stubNode, *httptest.Server) {
 	t.Helper()
-	s := &stubNode{name: name, seen: map[string]bool{}}
+	s := &stubNode{seen: map[string]bool{}}
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -86,11 +84,10 @@ func TestBodiesArchetypeFilter(t *testing.T) {
 	}
 }
 
-func TestRunSpreadsAndCountsHits(t *testing.T) {
-	sa, tsa := newStub(t, "node-a")
-	sb, tsb := newStub(t, "node-b")
+func TestRunCountsHits(t *testing.T) {
+	s, ts := newStub(t)
 	rep, err := Run(context.Background(), Config{
-		Targets:   []Target{{Base: tsa.URL}, {Base: tsb.URL}},
+		Target:    ts.URL + "/",
 		QPS:       5000,
 		Requests:  40,
 		Workers:   8,
@@ -104,18 +101,15 @@ func TestRunSpreadsAndCountsHits(t *testing.T) {
 	if rep.Requests != 40 || rep.Errors != 0 {
 		t.Fatalf("requests=%d errors=%d, want 40/0", rep.Requests, rep.Errors)
 	}
-	if rep.Hits == 0 || rep.HitRate <= 0 {
-		t.Fatalf("repeat traffic measured no hits: %+v", rep)
+	// Each of the 2 bodies misses once; every repeat is a hit.
+	if rep.Hits != 38 || rep.HitRate != 38.0/40 {
+		t.Fatalf("hits=%d hit_rate=%g, want 38 and 0.95", rep.Hits, rep.HitRate)
 	}
-	na, nb := rep.PerNode["node-a"], rep.PerNode["node-b"]
-	if na.Requests+nb.Requests != 40 {
-		t.Fatalf("per-node split %d+%d != 40", na.Requests, nb.Requests)
+	if s.reqs != 40 {
+		t.Fatalf("stub saw %d requests, want 40", s.reqs)
 	}
-	if na.Requests == 0 || nb.Requests == 0 {
-		t.Fatalf("round-robin left a node idle: %+v", rep.PerNode)
-	}
-	if sa.reqs == 0 || sb.reqs == 0 {
-		t.Fatal("a stub saw no traffic")
+	if rep.Target != ts.URL {
+		t.Fatalf("report target %q, want %q (trailing slash trimmed)", rep.Target, ts.URL)
 	}
 	if rep.P50US > rep.P99US || rep.P99US > rep.P999US || rep.P999US > rep.MaxUS {
 		t.Fatalf("quantiles out of order: p50=%.0f p99=%.0f p999=%.0f max=%.0f",
@@ -127,7 +121,7 @@ func TestRunSpreadsAndCountsHits(t *testing.T) {
 }
 
 func TestRunCountsErrors(t *testing.T) {
-	s, ts := newStub(t, "flaky")
+	s, ts := newStub(t)
 	s.fail = func(i int) int {
 		if i%2 == 1 {
 			return http.StatusInternalServerError
@@ -135,7 +129,7 @@ func TestRunCountsErrors(t *testing.T) {
 		return 0
 	}
 	rep, err := Run(context.Background(), Config{
-		Targets:   []Target{{Base: ts.URL}},
+		Target:    ts.URL,
 		QPS:       5000,
 		Requests:  10,
 		Archetype: "stable",
@@ -153,10 +147,10 @@ func TestRunCountsErrors(t *testing.T) {
 }
 
 func TestRunOpenLoopPacing(t *testing.T) {
-	_, ts := newStub(t, "paced")
+	_, ts := newStub(t)
 	start := time.Now()
 	rep, err := Run(context.Background(), Config{
-		Targets:   []Target{{Base: ts.URL}},
+		Target:    ts.URL,
 		QPS:       100, // 10 requests at 100 QPS: the schedule spans 90ms
 		Requests:  10,
 		Workers:   4,
@@ -175,11 +169,11 @@ func TestRunOpenLoopPacing(t *testing.T) {
 }
 
 func TestRunCancellation(t *testing.T) {
-	_, ts := newStub(t, "cancelled")
+	_, ts := newStub(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	rep, err := Run(ctx, Config{
-		Targets:   []Target{{Base: ts.URL}},
+		Target:    ts.URL,
 		QPS:       10, // 100 requests at 10 QPS would take ~10s; cancel cuts it short
 		Requests:  100,
 		Archetype: "stable",
@@ -196,12 +190,12 @@ func TestRunCancellation(t *testing.T) {
 func TestRunConfigValidation(t *testing.T) {
 	ctx := context.Background()
 	if _, err := Run(ctx, Config{QPS: 1, Requests: 1}); err == nil {
-		t.Fatal("no targets accepted")
+		t.Fatal("no target accepted")
 	}
-	if _, err := Run(ctx, Config{Targets: []Target{{Base: "http://x"}}, Requests: 1}); err == nil {
+	if _, err := Run(ctx, Config{Target: "http://x", Requests: 1}); err == nil {
 		t.Fatal("zero QPS accepted")
 	}
-	if _, err := Run(ctx, Config{Targets: []Target{{Base: "http://x"}}, QPS: 1}); err == nil {
+	if _, err := Run(ctx, Config{Target: "http://x", QPS: 1}); err == nil {
 		t.Fatal("neither Requests nor Duration accepted")
 	}
 }

@@ -21,7 +21,6 @@ type NodeService struct {
 	mu       sync.Mutex
 	capacity int64
 	used     int64
-	allocs   int
 }
 
 // NewNodeService returns a service managing capacity bytes of node DRAM.
@@ -45,7 +44,6 @@ func (s *NodeService) Alloc(size int64) (int64, error) {
 		return 0, ErrNoSpace
 	}
 	s.used += size
-	s.allocs++
 	return 0, nil
 }
 
@@ -57,7 +55,6 @@ func (s *NodeService) Free(off, size int64) {
 		panic(fmt.Sprintf("memsys: bad DRAM free of %d bytes (used %d)", size, s.used))
 	}
 	s.used -= size
-	s.allocs--
 }
 
 // Used returns the bytes of node DRAM currently reserved.
@@ -79,13 +76,6 @@ func (s *NodeService) Avail() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.capacity - s.used
-}
-
-// Allocations returns the number of live reservations.
-func (s *NodeService) Allocations() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.allocs
 }
 
 // NodeTiers is the per-node coordination state of an N-tier hierarchy: one

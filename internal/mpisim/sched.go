@@ -17,11 +17,13 @@ import (
 // to the remaining ranks in rank order, each unwinds and retires, and the
 // last to retire closes done for Run. Abort itself only sets a flag.
 
+// rankState is what a rank waits on. A runnable rank is either queued or
+// the one rank holding the dispatch token; the scheduler never needs to
+// tell the two apart.
 type rankState uint8
 
 const (
 	stRunnable rankState = iota
-	stRunning
 	stBlockedRecv
 	stBlockedColl
 	stDone
@@ -95,7 +97,6 @@ func (s *sched) dispatchNext() {
 	if !s.w.aborted.Load() {
 		if len(s.runq) > 0 {
 			next := heap.Pop(&s.runq).(*Comm)
-			next.state = stRunning
 			s.events++
 			next.resume <- struct{}{}
 			return

@@ -1,14 +1,15 @@
 // Package obs is the observability layer: a zero-dependency metrics
-// registry (counters, gauges, fixed-bucket latency histograms with
-// quantile estimation) exposed in Prometheus text format, and a span-style
-// per-run trace recorder (trace.go) exportable as Chrome trace-event JSON.
+// registry (labeled counters, gauges and fixed-bucket latency histograms,
+// plus scrape-time counter and gauge functions) exposed in Prometheus text
+// format, and a span-style per-run trace recorder (trace.go) exportable as
+// Chrome trace-event JSON.
 //
 // The package is designed to be always compiled in but free when unused:
 // every constructor on a nil *Registry returns a nil instrument, and every
 // method on a nil instrument is a no-op, so instrumented code paths carry
 // a single pointer check when observability is disabled. Instruments are
-// safe for concurrent use; hot-path operations (Counter.Add, Gauge.Set,
-// Histogram.Observe) are single atomic updates.
+// safe for concurrent use; hot-path operations (Counter.Add,
+// FloatGauge.Set, Histogram.Observe) are single atomic updates.
 package obs
 
 import (
@@ -189,26 +190,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-type counterFamily struct {
-	name, help string
-	c          *Counter
-}
-
-func (f *counterFamily) meta() (string, string, string) { return f.name, f.help, "counter" }
-func (f *counterFamily) write(b *strings.Builder) {
-	fmt.Fprintf(b, "%s %d\n", f.name, f.c.Value())
-}
-
-// Counter registers and returns a new counter (nil on a nil registry).
-func (r *Registry) Counter(name, help string) *Counter {
-	if r == nil {
-		return nil
-	}
-	c := &Counter{}
-	r.register(&counterFamily{name: name, help: help, c: c})
-	return c
-}
-
 // CounterVec is a counter family partitioned by label values.
 type CounterVec struct {
 	name   string
@@ -274,58 +255,8 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // ---------------------------------------------------------------------------
 // Gauge
 
-// Gauge is a value that can go up and down. A nil Gauge no-ops.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the value.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
-// Add moves the gauge by delta.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
-type gaugeFamily struct {
-	name, help string
-	g          *Gauge
-}
-
-func (f *gaugeFamily) meta() (string, string, string) { return f.name, f.help, "gauge" }
-func (f *gaugeFamily) write(b *strings.Builder) {
-	fmt.Fprintf(b, "%s %d\n", f.name, f.g.Value())
-}
-
-// Gauge registers and returns a new gauge (nil on a nil registry).
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g := &Gauge{}
-	r.register(&gaugeFamily{name: name, help: help, g: g})
-	return g
-}
-
 // FloatGauge is a float-valued gauge (the fleet regret figures are
-// fractions, which the integer Gauge cannot carry). A nil FloatGauge
-// no-ops.
+// fractions). A nil FloatGauge no-ops.
 type FloatGauge struct {
 	bits atomic.Uint64
 }
@@ -516,8 +447,8 @@ var DefBuckets = []float64{
 	.1, .25, .5, 1, 2.5, 5, 10, 25, 50, 100,
 }
 
-// Histogram is a fixed-bucket histogram with cumulative exposition and
-// bucket-interpolated quantile estimation. A nil Histogram no-ops.
+// Histogram is a fixed-bucket histogram with cumulative exposition. A nil
+// Histogram no-ops.
 type Histogram struct {
 	bounds  []float64      // upper bounds, ascending; +Inf implicit
 	counts  []atomic.Int64 // per-bucket (non-cumulative) counts
@@ -565,56 +496,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// Quantile estimates the q-quantile (0 < q < 1) from the bucket counts by
-// linear interpolation inside the target bucket, the same estimate
-// Prometheus's histogram_quantile computes. It returns 0 with no
-// observations; an estimate landing in the +Inf bucket returns the
-// largest finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			cum += c
-			continue
-		}
-		if float64(cum+c) >= rank {
-			if i == len(h.bounds) {
-				// +Inf bucket: clamp to the largest finite bound.
-				if len(h.bounds) == 0 {
-					return 0
-				}
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			frac := (rank - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum += c
-	}
-	if len(h.bounds) == 0 {
-		return 0
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // writeSamples appends the histogram's _bucket/_sum/_count lines.
 func (h *Histogram) writeSamples(b *strings.Builder, name string, labelNames, labelValues []string) {
 	var cum int64
@@ -631,30 +512,6 @@ func (h *Histogram) writeSamples(b *strings.Builder, name string, labelNames, la
 	fmt.Fprintf(b, "%s_bucket%s %d\n", name, withLE("+Inf"), cum)
 	fmt.Fprintf(b, "%s_sum%s %s\n", name, labelPairs(labelNames, labelValues), formatValue(h.Sum()))
 	fmt.Fprintf(b, "%s_count%s %d\n", name, labelPairs(labelNames, labelValues), h.count.Load())
-}
-
-type histogramFamily struct {
-	name, help string
-	h          *Histogram
-}
-
-func (f *histogramFamily) meta() (string, string, string) { return f.name, f.help, "histogram" }
-func (f *histogramFamily) write(b *strings.Builder) {
-	f.h.writeSamples(b, f.name, nil, nil)
-}
-
-// Histogram registers a histogram with the given bucket upper bounds
-// (nil buckets: DefBuckets). Returns nil on a nil registry.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	if buckets == nil {
-		buckets = DefBuckets
-	}
-	h := newHistogram(buckets)
-	r.register(&histogramFamily{name: name, help: help, h: h})
-	return h
 }
 
 // HistogramVec is a histogram family partitioned by label values.
@@ -691,7 +548,7 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 }
 
 // Children returns the live (labelValues, histogram) pairs in sorted
-// label order — the introspection hook quantile reporting reads.
+// label order.
 func (v *HistogramVec) Children() [][2]interface{} {
 	if v == nil {
 		return nil

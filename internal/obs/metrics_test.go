@@ -2,21 +2,27 @@ package obs
 
 import (
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 )
 
+// TestCounterGaugeExposition renders the unlabeled forms: a vec with no
+// label names exposes one bare sample, like the scrape-time functions.
 func TestCounterGaugeExposition(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("test_requests_total", "Total requests.")
-	g := r.Gauge("test_inflight", "In-flight requests.")
+	c := r.CounterVec("test_requests_total", "Total requests.").With()
+	g := r.GaugeVec("test_inflight", "In-flight requests.").With()
 	r.GaugeFunc("test_uptime_seconds", "Uptime.", func() float64 { return 12.5 })
+	r.CounterFunc("test_scraped_total", "Scraped.", func() float64 { return 9 })
 	c.Add(3)
 	c.Inc()
 	c.Add(-5) // ignored: counters are monotonic
 	g.Set(7)
-	g.Add(-2)
+	g.Set(5)
 
 	var b strings.Builder
 	if _, err := r.WriteTo(&b); err != nil {
@@ -29,6 +35,8 @@ func TestCounterGaugeExposition(t *testing.T) {
 		"# TYPE test_inflight gauge",
 		"test_inflight 5",
 		"test_uptime_seconds 12.5",
+		"# TYPE test_scraped_total counter",
+		"test_scraped_total 9",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -60,25 +68,23 @@ func TestCounterVecLabels(t *testing.T) {
 	}
 }
 
+// TestHistogramExpositionAndQuantiles pins the cumulative bucket counts
+// that Prometheus's histogram_quantile reads, including le semantics: an
+// observation exactly on a bound counts into that bound's bucket.
 func TestHistogramExpositionAndQuantiles(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_latency_seconds", "Latency.", []float64{0.1, 0.2, 0.5, 1})
+	h := r.HistogramVec("test_latency_seconds", "Latency.", []float64{0.1, 0.2, 0.5, 1}).With()
 	// 100 observations uniformly in (0, 0.1]: all land in the first bucket.
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i) * 0.001)
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d, want 100", h.Count())
+	h.Observe(0.2) // exactly on a bound: counts into le="0.2"
+	h.Observe(5)   // beyond every finite bound: +Inf only
+	if h.Count() != 102 {
+		t.Fatalf("count = %d, want 102", h.Count())
 	}
-	if math.Abs(h.Sum()-5.05) > 1e-9 {
-		t.Errorf("sum = %g, want 5.05", h.Sum())
-	}
-	// All mass in [0, 0.1] → interpolated p50 = 0.05.
-	if got := h.Quantile(0.5); math.Abs(got-0.05) > 1e-9 {
-		t.Errorf("p50 = %g, want 0.05", got)
-	}
-	if got := h.Quantile(0.99); math.Abs(got-0.099) > 1e-9 {
-		t.Errorf("p99 = %g, want 0.099", got)
+	if math.Abs(h.Sum()-10.25) > 1e-9 {
+		t.Errorf("sum = %g, want 10.25", h.Sum())
 	}
 
 	var b strings.Builder
@@ -87,9 +93,10 @@ func TestHistogramExpositionAndQuantiles(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE test_latency_seconds histogram",
 		`test_latency_seconds_bucket{le="0.1"} 100`,
-		`test_latency_seconds_bucket{le="1"} 100`,
-		`test_latency_seconds_bucket{le="+Inf"} 100`,
-		"test_latency_seconds_count 100",
+		`test_latency_seconds_bucket{le="0.2"} 101`,
+		`test_latency_seconds_bucket{le="1"} 101`,
+		`test_latency_seconds_bucket{le="+Inf"} 102`,
+		"test_latency_seconds_count 102",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -97,30 +104,6 @@ func TestHistogramExpositionAndQuantiles(t *testing.T) {
 	}
 	if err := ValidateExposition(strings.NewReader(out)); err != nil {
 		t.Errorf("validation: %v", err)
-	}
-}
-
-func TestHistogramQuantileSpread(t *testing.T) {
-	h := newHistogram([]float64{1, 2, 4, 8})
-	// 10 obs ≤1, 10 in (1,2], 10 in (2,4].
-	for i := 0; i < 10; i++ {
-		h.Observe(0.5)
-		h.Observe(1.5)
-		h.Observe(3)
-	}
-	// rank(0.5)=15 → 5 into the (1,2] bucket of 10 → 1 + 0.5 = 1.5.
-	if got := h.Quantile(0.5); math.Abs(got-1.5) > 1e-9 {
-		t.Errorf("p50 = %g, want 1.5", got)
-	}
-	// Empty histogram and out-of-range mass.
-	var empty Histogram
-	if got := (&empty).Quantile(0.5); got != 0 {
-		t.Errorf("empty p50 = %g, want 0", got)
-	}
-	h2 := newHistogram([]float64{1})
-	h2.Observe(100) // +Inf bucket → clamp to largest finite bound
-	if got := h2.Quantile(0.99); got != 1 {
-		t.Errorf("inf-bucket p99 = %g, want 1 (clamped)", got)
 	}
 }
 
@@ -147,22 +130,19 @@ func TestHistogramVec(t *testing.T) {
 // nil instruments and every operation on them is a no-op.
 func TestNilSafety(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x_total", "x")
-	g := r.Gauge("x", "x")
-	h := r.Histogram("x_seconds", "x", nil)
 	cv := r.CounterVec("xv_total", "x", "l")
+	gv := r.GaugeVec("xv", "x", "l")
 	hv := r.HistogramVec("xv_seconds", "x", nil, "l")
 	r.GaugeFunc("x_fn", "x", func() float64 { return 1 })
 	r.CounterFunc("x_cfn", "x", func() float64 { return 1 })
+	r.CounterFuncVec("x_cfv_total", "x", "l").With(func() float64 { return 1 }, "a")
 
+	c, g, h := cv.With("a"), gv.With("a"), hv.With("a")
 	c.Inc()
 	c.Add(5)
 	g.Set(1)
-	g.Add(1)
 	h.Observe(1)
-	cv.With("a").Inc()
-	hv.With("a").Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil instruments must read as zero")
 	}
 	if n, err := r.WriteTo(&strings.Builder{}); n != 0 || err != nil {
@@ -175,8 +155,8 @@ func TestNilSafety(t *testing.T) {
 
 func TestConcurrentObserve(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_conc_seconds", "x", []float64{0.5})
-	c := r.Counter("test_conc_total", "x")
+	h := r.HistogramVec("test_conc_seconds", "x", []float64{0.5}).With()
+	c := r.CounterVec("test_conc_total", "x").With()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -222,12 +202,78 @@ func TestRegistryPanicsOnBadNames(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("bad metric name", func() { r.Counter("bad name", "x") })
+	mustPanic("bad metric name", func() { r.CounterVec("bad name", "x") })
 	mustPanic("bad label name", func() { r.CounterVec("ok_total", "x", "bad-label") })
-	r.Counter("dup_total", "x")
-	mustPanic("duplicate name", func() { r.Counter("dup_total", "x") })
+	r.CounterVec("dup_total", "x")
+	mustPanic("duplicate name", func() { r.GaugeFunc("dup_total", "x", func() float64 { return 0 }) })
 	v := r.CounterVec("lab_total", "x", "a", "b")
 	mustPanic("label arity", func() { v.With("only-one") })
+}
+
+func TestHandlerHEADAndContentLength(t *testing.T) {
+	r := NewRegistry()
+	r.CounterVec("test_total", "A counter.").With().Inc()
+	h := r.Handler()
+
+	get := httptest.NewRecorder()
+	h.ServeHTTP(get, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	body := get.Body.String()
+	if len(body) == 0 {
+		t.Fatal("GET /metrics returned an empty body")
+	}
+	cl := get.Header().Get("Content-Length")
+	if want := strconv.Itoa(len(body)); cl != want {
+		t.Errorf("GET Content-Length = %q, want %q", cl, want)
+	}
+
+	head := httptest.NewRecorder()
+	h.ServeHTTP(head, httptest.NewRequest(http.MethodHead, "/metrics", nil))
+	if head.Body.Len() != 0 {
+		t.Errorf("HEAD /metrics returned a %d-byte body, want none", head.Body.Len())
+	}
+	// HEAD must advertise the length a GET would have returned.
+	if got := head.Header().Get("Content-Length"); got != cl {
+		t.Errorf("HEAD Content-Length = %q, want the GET length %q", got, cl)
+	}
+	if got := head.Header().Get("Content-Type"); !strings.Contains(got, "text/plain") {
+		t.Errorf("HEAD Content-Type = %q, want text/plain exposition", got)
+	}
+}
+
+func TestGaugeVecExposition(t *testing.T) {
+	r := NewRegistry()
+	v := r.GaugeVec("test_regret", "Regret by archetype.", "archetype")
+	v.With("drift").Set(0.125)
+	v.With("steady").Set(-0.5)
+	v.With("drift").Set(0.25) // same child, latest value wins
+
+	var b strings.Builder
+	r.WriteTo(&b)
+	out := b.String()
+	for _, want := range []string{
+		"# TYPE test_regret gauge",
+		`test_regret{archetype="drift"} 0.25`,
+		`test_regret{archetype="steady"} -0.5`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
+	}
+	if err := ValidateExposition(strings.NewReader(out)); err != nil {
+		t.Errorf("validation: %v", err)
+	}
+
+	// Nil safety mirrors the other instruments.
+	var nilVec *GaugeVec
+	nilVec.With("x").Set(1)
+	var nilGauge *FloatGauge
+	nilGauge.Set(2)
+	if nilGauge.Value() != 0 {
+		t.Error("nil FloatGauge.Value() != 0")
+	}
+	if (*Registry)(nil).GaugeVec("x", "y", "z") != nil {
+		t.Error("nil registry returned a non-nil GaugeVec")
+	}
 }
 
 func TestValidateExpositionRejects(t *testing.T) {

@@ -113,14 +113,6 @@ func (t *Trace) WallSpan(tid int, name, cat string, start time.Time, args map[st
 	return d
 }
 
-// Origin returns the trace's wall-clock origin (zero time on nil).
-func (t *Trace) Origin() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.t0
-}
-
 // Len returns the number of recorded events (0 on nil).
 func (t *Trace) Len() int {
 	if t == nil {

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"unimem"
-	"unimem/internal/cluster"
 	"unimem/internal/exp"
 	"unimem/internal/workloads"
 )
@@ -407,7 +406,7 @@ type SnapshotJSON struct {
 }
 
 // MergeJSON summarizes the snapshot merges this process has performed
-// (POST /snapshot/merge and peer warm-starts).
+// (POST /snapshot/merge).
 type MergeJSON struct {
 	// LastUnixNS stamps the most recent merge.
 	LastUnixNS int64 `json:"last_unix_ns"`
@@ -439,13 +438,10 @@ type StatsResponse struct {
 	Snapshot *SnapshotJSON `json:"snapshot,omitempty"`
 	// Merge summarizes snapshot merges performed (absent before the
 	// first).
-	Merge *MergeJSON `json:"merge,omitempty"`
-	// Cluster reports ring membership and per-peer forward health (absent
-	// when single-node).
-	Cluster    *cluster.Status `json:"cluster,omitempty"`
-	Sessions   []SessionJSON   `json:"sessions"`
-	Platforms  []string        `json:"platforms"`
-	Strategies []string        `json:"strategies"`
+	Merge      *MergeJSON    `json:"merge,omitempty"`
+	Sessions   []SessionJSON `json:"sessions"`
+	Platforms  []string      `json:"platforms"`
+	Strategies []string      `json:"strategies"`
 }
 
 // BuildJSON identifies the serving binary (module version or VCS

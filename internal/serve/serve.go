@@ -20,14 +20,9 @@
 //	GET  /readyz  readiness probe: 503 while a snapshot is merging or the
 //	              daemon is draining on SIGTERM, 200 otherwise
 //	GET  /snapshot         the run cache as a versioned snapshot document
-//	POST /snapshot/merge   merge a peer's snapshot document into the live
-//	              cache (newer completed run wins; in-flight never merged)
-//
-// With a cluster installed (SetCluster; -self/-peers on the daemon), /run
-// requests whose route key hashes to another peer are forwarded there and
-// proxied back; an unreachable or circuit-broken owner degrades to local
-// execution, so a partitioned cluster answers everything — just with
-// worse cache locality. The responding node is named in X-Unimem-Node.
+//	POST /snapshot/merge   merge another daemon's snapshot document into
+//	              the live cache (newer completed run wins; in-flight never
+//	              merged)
 //
 // Every request carries an X-Request-Id (also attached to error bodies
 // and log lines); POST /run?trace=1 additionally returns the run's span
@@ -57,7 +52,6 @@ import (
 
 	"unimem"
 	"unimem/internal/app"
-	"unimem/internal/cluster"
 	"unimem/internal/exp"
 	"unimem/internal/lru"
 )
@@ -138,16 +132,14 @@ type Server struct {
 	// debug is the /debug/runs ring (nil when metrics are disabled — the
 	// audit trail honors -no-metrics exactly like /metrics does).
 	debug *debugRuns
-	// cluster, when installed via SetCluster, routes /run requests to
-	// their ring owner (nil: single-node, everything local).
-	cluster *cluster.Cluster
 	// draining flips on SIGTERM (SetDraining): /readyz answers 503 so load
 	// balancers stop sending while in-flight requests finish.
 	draining atomic.Bool
-	// readyMu guards the readiness blockers and the snapshot/merge
-	// bookkeeping below (cluster.go).
-	readyMu       sync.Mutex
-	readyBlockers map[string]int
+	// merging counts snapshot merges in progress; /readyz answers 503
+	// while it is nonzero.
+	merging atomic.Int32
+	// snapMu guards the snapshot/merge bookkeeping below (snapshot.go).
+	snapMu        sync.Mutex
 	lastSave      time.Time
 	lastSaveCount int
 	lastMerge     time.Time
@@ -195,11 +187,10 @@ func New(cfg Config) (*Server, error) {
 		poolSize = maxPoolSessions
 	}
 	s := &Server{
-		cfg:           cfg,
-		cache:         cache,
-		started:       time.Now(),
-		sessions:      lru.New[string, *poolEntry](poolSize),
-		readyBlockers: map[string]int{},
+		cfg:      cfg,
+		cache:    cache,
+		started:  time.Now(),
+		sessions: lru.New[string, *poolEntry](poolSize),
 	}
 	s.metrics = newServerMetrics(s, cfg.DisableMetrics)
 	if cfg.CacheDir != "" {
@@ -276,10 +267,10 @@ func (s *Server) SaveCache() (int, error) {
 	}
 	n, err := s.cache.SaveSnapshot(s.SnapshotPath())
 	if err == nil {
-		s.readyMu.Lock()
+		s.snapMu.Lock()
 		s.lastSave = time.Now()
 		s.lastSaveCount = n
-		s.readyMu.Unlock()
+		s.snapMu.Unlock()
 	}
 	return n, err
 }
@@ -360,10 +351,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 // semantics.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	// The raw body is retained so a cluster forward can replay it to the
-	// owning peer byte-for-byte.
-	body, ok := readDecodeJSON(w, r, &req)
-	if !ok {
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	m, err := req.Platform.resolve()
@@ -374,9 +362,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	job, err := req.JobReq.job()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if s.forwardToOwner(w, r, m, job, body) {
 		return
 	}
 	st := stateOf(r)
@@ -667,7 +652,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Version:       exp.SnapshotVersion,
 		}
 	}
-	s.statsCluster(&resp)
+	s.statsSnapshot(&resp)
 	// One consistent snapshot: the in-flight gauge and the session list
 	// are read under the same critical section, so a scrape racing a
 	// draining batch sees either (inflight>0, pre-eviction pool) or
