@@ -25,7 +25,8 @@ const (
 // computation loop. It is the public counterpart of the generators behind
 // the built-in NPB workloads.
 type AppBuilder struct {
-	w *workloads.Workload
+	w   *workloads.Workload
+	fns []func(iter int) []Ref // per phase; see phase
 }
 
 // NewApp starts an application description: world size ranks, and iters
@@ -101,13 +102,17 @@ func mkRef(object string, accesses int64, writeFrac float64, p Pattern) Ref {
 // ComputePhase appends a computation phase with the given flop count and
 // iteration-invariant traffic.
 func (b *AppBuilder) ComputePhase(name string, flops float64, refs ...Ref) *AppBuilder {
-	return b.phaseFn(name, workloads.CommNone, 0, flops, func(int) []Ref { return refs })
+	return b.phase(workloads.Phase{
+		Name: name, Kind: phase.Compute, Flops: flops, Epochs: workloads.Static(refs...),
+	}, nil)
 }
 
 // ComputePhaseFn appends a computation phase whose traffic varies with the
-// iteration number (workload drift, like Nek5000's Krylov sets).
+// iteration number (workload drift, like Nek5000's Krylov sets). Build
+// calls refs once per iteration and keeps each stretch of equal lists
+// once, so refs may reuse its result buffer.
 func (b *AppBuilder) ComputePhaseFn(name string, flops float64, refs func(iter int) []Ref) *AppBuilder {
-	return b.phaseFn(name, workloads.CommNone, 0, flops, refs)
+	return b.phase(workloads.Phase{Name: name, Kind: phase.Compute, Flops: flops}, refs)
 }
 
 // CommPhase appends an MPI communication phase moving bytes per rank (or
@@ -116,30 +121,39 @@ func (b *AppBuilder) CommPhase(name string, op CommOp, bytes int64, flops float6
 	if op == workloads.CommNone {
 		panic("unimem: CommPhase requires a communication op; use ComputePhase")
 	}
-	b.w.Phases = append(b.w.Phases, workloads.Phase{
+	return b.phase(workloads.Phase{
 		Name: name, Kind: phase.Comm, Comm: op, CommBytes: bytes, Flops: flops,
-		Refs: func(int) []Ref { return refs },
-	})
+		Epochs: workloads.Static(refs...),
+	}, nil)
+}
+
+// phase appends p, with the traffic function Build evaluates for it (nil:
+// p's epochs are final).
+func (b *AppBuilder) phase(p workloads.Phase, fn func(int) []Ref) *AppBuilder {
+	b.w.Phases = append(b.w.Phases, p)
+	b.fns = append(b.fns, fn)
 	return b
 }
 
-func (b *AppBuilder) phaseFn(name string, op CommOp, bytes int64, flops float64, refs func(int) []Ref) *AppBuilder {
-	b.w.Phases = append(b.w.Phases, workloads.Phase{
-		Name: name, Kind: phase.Compute, Comm: op, CommBytes: bytes, Flops: flops,
-		Refs: refs,
-	})
-	return b
-}
-
-// Build validates and returns the workload.
+// Build evaluates the iteration-varying phases' traffic, validates and
+// returns the workload.
 func (b *AppBuilder) Build() *Workload {
 	if len(b.w.Phases) == 0 {
 		panic("unimem: application has no phases")
 	}
-	for _, ph := range b.w.Phases {
-		for _, r := range ph.Refs(0) {
-			if b.w.Object(r.Object) == nil {
-				panic(fmt.Sprintf("unimem: phase %q references unknown object %q", ph.Name, r.Object))
+	for pi := range b.w.Phases {
+		ph := &b.w.Phases[pi]
+		if fn := b.fns[pi]; fn != nil {
+			ph.Epochs = nil
+			for iter := 0; iter < b.w.Iterations; iter++ {
+				ph.Epochs = workloads.AppendEpoch(ph.Epochs, iter, fn(iter))
+			}
+		}
+		for _, e := range ph.Epochs {
+			for _, r := range e.Refs {
+				if b.w.Object(r.Object) == nil {
+					panic(fmt.Sprintf("unimem: phase %q references unknown object %q", ph.Name, r.Object))
+				}
 			}
 		}
 	}

@@ -197,13 +197,9 @@ func RunCtx(ctx context.Context, w *workloads.Workload, m *machine.Machine, opts
 	res.PhaseNS = make([]float64, len(w.Phases))
 	phaseCount := make([]int64, len(w.Phases))
 	errs := make([]error, opts.Ranks)
-	// The fast path bounds its stable windows by content epochs. Derive
-	// them once per run when the workload declares none, and share the
-	// slice across ranks; concurrent runs share w, so it is not mutated.
-	epochs := w.ContentEpochs
-	if epochs == nil && !opts.ExactSim {
-		epochs = w.ComputeContentEpochs()
-	}
+	// The fast path bounds its stable windows by content epochs: listed
+	// once per run and shared by every rank.
+	epochs := w.ContentEpochs()
 
 	world.Run(func(c *mpisim.Comm) {
 		rank := c.Rank()

@@ -136,7 +136,7 @@ type streakKey struct {
 
 // newFastPath returns the rank's tracker, or nil when the fast path is
 // off for this run. epochs must list every iteration at which some
-// phase's content changes (Workload.ComputeContentEpochs).
+// phase's content changes (Workload.ContentEpochs).
 func newFastPath(rc *RankCtx, mgr Manager, opts *Options, epochs []int, phaseNS []float64, phaseCount []int64) *fastPath {
 	if opts.ExactSim {
 		return nil

@@ -24,15 +24,10 @@ func tinyWorkload(iters int) *workloads.Workload {
 		},
 		Phases: []workloads.Phase{
 			{Name: "sweep", Kind: phase.Compute, Flops: 10e6,
-				Refs: func(int) []phase.Ref {
-					return []phase.Ref{{Object: "hot", Accesses: 1.3e6, ReadFrac: 0.7, Pattern: machine.Stream}}
-				}},
+				Epochs: workloads.Static(phase.Ref{Object: "hot", Accesses: 1.3e6, ReadFrac: 0.7, Pattern: machine.Stream})},
 			{Name: "gather", Kind: phase.Compute, Flops: 5e6,
-				Refs: func(int) []phase.Ref {
-					return []phase.Ref{{Object: "chase", Accesses: 3e5, ReadFrac: 1, Pattern: machine.PointerChase}}
-				}},
-			{Name: "reduce", Kind: phase.Comm, Comm: workloads.CommAllreduce, CommBytes: 64,
-				Refs: func(int) []phase.Ref { return nil }},
+				Epochs: workloads.Static(phase.Ref{Object: "chase", Accesses: 3e5, ReadFrac: 1, Pattern: machine.PointerChase})},
+			{Name: "reduce", Kind: phase.Comm, Comm: workloads.CommAllreduce, CommBytes: 64},
 		},
 	}
 }
@@ -153,11 +148,8 @@ func TestPartitioningSplitsLargeObjects(t *testing.T) {
 		},
 		Phases: []workloads.Phase{
 			{Name: "sweep", Kind: phase.Compute, Flops: 20e6,
-				Refs: func(int) []phase.Ref {
-					return []phase.Ref{{Object: "huge", Accesses: 6e6, ReadFrac: 0.6, Pattern: machine.Stream}}
-				}},
-			{Name: "sync", Kind: phase.Comm, Comm: workloads.CommBarrier,
-				Refs: func(int) []phase.Ref { return nil }},
+				Epochs: workloads.Static(phase.Ref{Object: "huge", Accesses: 6e6, ReadFrac: 0.6, Pattern: machine.Stream})},
+			{Name: "sync", Kind: phase.Comm, Comm: workloads.CommBarrier},
 		},
 	}
 	m := machine.PlatformA().WithNVMBandwidthFraction(0.5) // DRAM 256MB < 512MB object
@@ -188,15 +180,11 @@ func TestVariationTriggersReprofile(t *testing.T) {
 		},
 		Phases: []workloads.Phase{
 			{Name: "work", Kind: phase.Compute, Flops: 10e6,
-				Refs: func(iter int) []phase.Ref {
-					name := "早"
-					if iter >= 12 {
-						name = "晚"
-					}
-					return []phase.Ref{{Object: name, Accesses: 2e6, ReadFrac: 0.7, Pattern: machine.Stream}}
+				Epochs: []workloads.RefEpoch{
+					{From: 0, Refs: []phase.Ref{{Object: "早", Accesses: 2e6, ReadFrac: 0.7, Pattern: machine.Stream}}},
+					{From: 12, Refs: []phase.Ref{{Object: "晚", Accesses: 2e6, ReadFrac: 0.7, Pattern: machine.Stream}}},
 				}},
-			{Name: "sync", Kind: phase.Comm, Comm: workloads.CommBarrier,
-				Refs: func(int) []phase.Ref { return nil }},
+			{Name: "sync", Kind: phase.Comm, Comm: workloads.CommBarrier},
 		},
 	}
 	m := machine.PlatformA().WithNVMBandwidthFraction(0.5).WithDRAMCapacity(128 << 20)

@@ -106,9 +106,8 @@ func TestManyObjectsKnapsackScale(t *testing.T) {
 	}
 	w.Phases = []workloads.Phase{
 		{Name: "touch_all", Kind: phase.Compute, Flops: 1e6,
-			Refs: func(int) []phase.Ref { return refs }},
-		{Name: "sync", Kind: phase.Comm, Comm: workloads.CommBarrier,
-			Refs: func(int) []phase.Ref { return nil }},
+			Epochs: workloads.Static(refs...)},
+		{Name: "sync", Kind: phase.Comm, Comm: workloads.CommBarrier},
 	}
 	m := machine.PlatformA().WithNVMBandwidthFraction(0.5).WithDRAMCapacity(64 << 20)
 	res, rt := run(t, w, m, core.DefaultConfig())

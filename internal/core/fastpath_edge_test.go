@@ -37,11 +37,9 @@ func runFP(t *testing.T, w *workloads.Workload, m *machine.Machine, opts app.Opt
 func driftyWorkload(iters, driftAt int) *workloads.Workload {
 	w := tinyWorkload(iters)
 	w.Name = "tiny-drift"
-	w.Phases[0].Refs = func(iter int) []phase.Ref {
-		if iter >= driftAt {
-			return []phase.Ref{{Object: "cold", Accesses: 1.3e6, ReadFrac: 0.7, Pattern: machine.Stream}}
-		}
-		return []phase.Ref{{Object: "hot", Accesses: 1.3e6, ReadFrac: 0.7, Pattern: machine.Stream}}
+	w.Phases[0].Epochs = []workloads.RefEpoch{
+		{From: 0, Refs: []phase.Ref{{Object: "hot", Accesses: 1.3e6, ReadFrac: 0.7, Pattern: machine.Stream}}},
+		{From: driftAt, Refs: []phase.Ref{{Object: "cold", Accesses: 1.3e6, ReadFrac: 0.7, Pattern: machine.Stream}}},
 	}
 	return w
 }
@@ -142,15 +140,10 @@ func TestFastPathRecurringScheduleBlocksEntry(t *testing.T) {
 		},
 		Phases: []workloads.Phase{
 			{Name: "pa", Kind: phase.Compute, Flops: 10e6,
-				Refs: func(int) []phase.Ref {
-					return []phase.Ref{{Object: "a", Accesses: 2e6, ReadFrac: 1, Pattern: machine.PointerChase}}
-				}},
+				Epochs: workloads.Static(phase.Ref{Object: "a", Accesses: 2e6, ReadFrac: 1, Pattern: machine.PointerChase})},
 			{Name: "pb", Kind: phase.Compute, Flops: 10e6,
-				Refs: func(int) []phase.Ref {
-					return []phase.Ref{{Object: "b", Accesses: 2e6, ReadFrac: 1, Pattern: machine.PointerChase}}
-				}},
-			{Name: "sync", Kind: phase.Comm, Comm: workloads.CommBarrier,
-				Refs: func(int) []phase.Ref { return nil }},
+				Epochs: workloads.Static(phase.Ref{Object: "b", Accesses: 2e6, ReadFrac: 1, Pattern: machine.PointerChase})},
+			{Name: "sync", Kind: phase.Comm, Comm: workloads.CommBarrier},
 		},
 	}
 	m := machine.PlatformA().WithNVMLatencyFactor(4).WithDRAMCapacity(128 << 20)

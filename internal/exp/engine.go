@@ -29,6 +29,7 @@ import (
 type Engine struct {
 	mu    sync.Mutex
 	quick bool
+	exact bool
 	cache *RunCache
 
 	// calibMu guards only the calibration table, so an in-flight platform
@@ -70,6 +71,14 @@ func (e *Engine) SetQuick(q bool) {
 	e.mu.Unlock()
 }
 
+// SetExactSim forces app.Options.ExactSim on every later execution. The
+// run-cache key omits ExactSim, so each mode needs its own cache.
+func (e *Engine) SetExactSim(exact bool) {
+	e.mu.Lock()
+	e.exact = exact
+	e.mu.Unlock()
+}
+
 // SetCache replaces the run cache (nil disables memoization).
 func (e *Engine) SetCache(c *RunCache) {
 	e.mu.Lock()
@@ -78,15 +87,15 @@ func (e *Engine) SetCache(c *RunCache) {
 }
 
 // snapshot reads the engine's mutable configuration atomically.
-func (e *Engine) snapshot() (quick bool, cache *RunCache) {
+func (e *Engine) snapshot() (quick, exact bool, cache *RunCache) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.quick, e.cache
+	return e.quick, e.exact, e.cache
 }
 
 // Stats snapshots the run cache's hit/miss counters.
 func (e *Engine) Stats() CacheStats {
-	_, cache := e.snapshot()
+	_, _, cache := e.snapshot()
 	return cache.Stats()
 }
 
@@ -182,8 +191,9 @@ func (e *Engine) ExecuteInfo(ctx context.Context, w *workloads.Workload, m *mach
 	if !st.valid() {
 		return nil, nil, info, fmt.Errorf("exp: zero Strategy value (use one of the Strategy constructors)")
 	}
-	quick, cache := e.snapshot()
+	quick, exact, cache := e.snapshot()
 	w = prepQuick(w, quick)
+	opts.ExactSim = opts.ExactSim || exact
 	m = st.targetMachine(m)
 	tr := opts.Trace
 	// Collect fast-path counters into the caller-visible info unless the

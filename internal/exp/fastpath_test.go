@@ -82,12 +82,30 @@ func TestFastPathDifferentialRandomized(t *testing.T) {
 	}
 }
 
+// derivedContentEpochs is the per-iteration derivation that content epochs
+// replaced, kept as the oracle: every iteration whose reference list or
+// scheduled communication volume differs from the previous iteration's,
+// in any phase.
+func derivedContentEpochs(w *workloads.Workload) []int {
+	var out []int
+	for iter := 1; iter < w.Iterations; iter++ {
+		for pi := range w.Phases {
+			p := &w.Phases[pi]
+			if p.CommBytesAt(iter) != p.CommBytesAt(iter-1) || !slices.Equal(p.Refs(iter), p.Refs(iter-1)) {
+				out = append(out, iter)
+				break
+			}
+		}
+	}
+	return out
+}
+
 // TestFastPathDifferentialBuiltin runs the exact-vs-fast differential on
-// the built-in Go workloads, which declare no content epochs, so every
-// fast run bounds its windows by epochs the harness derives. Nek5000's
-// hot set drifts every 10 iterations, so its windows end at derived
-// epochs rather than at the end of the run. Every case must engage the
-// fast path, under the Unimem runtime and a static baseline alike.
+// the built-in Go workloads, whose content epochs must equal the
+// per-iteration derivation before and after the runs. Nek5000's hot set
+// drifts every 10 iterations, so its windows end at content epochs rather
+// than at the end of the run. Every case must engage the fast path, under
+// the Unimem runtime and a static baseline alike.
 func TestFastPathDifferentialBuiltin(t *testing.T) {
 	eng := NewEngine(false, nil) // full length, uncached
 	m := machine.PlatformA().WithNVMLatencyFactor(4)
@@ -104,8 +122,9 @@ func TestFastPathDifferentialBuiltin(t *testing.T) {
 		workloads.NewNPB("SP", "A", 4),
 		workloads.NewNek5000("A", 2),
 	} {
-		if w.ContentEpochs != nil {
-			t.Fatalf("%s declares content epochs; the derived path is untested", w.Name)
+		want := derivedContentEpochs(w)
+		if got := w.ContentEpochs(); !slices.Equal(got, want) {
+			t.Fatalf("%s: content epochs %v, derivation %v", w.Name, got, want)
 		}
 		for _, s := range strategies {
 			run := func(exact bool) (*app.Result, ExecInfo) {
@@ -126,8 +145,8 @@ func TestFastPathDifferentialBuiltin(t *testing.T) {
 			}
 			t.Logf("%s/%s: %d ranks, %+v", w.Name, s.name, w.Ranks, info.FastPath)
 		}
-		if w.ContentEpochs != nil {
-			t.Errorf("%s: run mutated the shared workload's ContentEpochs", w.Name)
+		if got := w.ContentEpochs(); !slices.Equal(got, want) {
+			t.Errorf("%s: content epochs %v after the runs, derivation %v", w.Name, got, want)
 		}
 	}
 }
@@ -135,12 +154,14 @@ func TestFastPathDifferentialBuiltin(t *testing.T) {
 // TestFastPathContentChangeNotSkipped: a workload whose content changes at
 // iteration k — through its reference lists, or through a communication
 // schedule alone — is never fast-forwarded across k, and its results equal
-// exact simulation. The workloads declare no epochs, so the bound comes
-// from the harness's exact comparison of consecutive iterations; no hash
-// is involved anywhere on the path.
+// exact simulation. The bound comes from the phases' epoch lists and
+// communication schedules; no hash is involved anywhere on the path.
 func TestFastPathContentChangeNotSkipped(t *testing.T) {
 	const iters, k = 60, 30
-	build := func(name string, hotAt func(iter int) string, sched []workloads.ScaleWindow) *workloads.Workload {
+	sweep := func(obj string) []phase.Ref {
+		return []phase.Ref{{Object: obj, Accesses: 1e6, ReadFrac: 1, Pattern: machine.PointerChase}}
+	}
+	build := func(name string, epochs []workloads.RefEpoch, sched []workloads.ScaleWindow) *workloads.Workload {
 		return &workloads.Workload{
 			Name: name, Class: "C", Ranks: 2, Iterations: iters,
 			Objects: []workloads.ObjectSpec{
@@ -149,27 +170,16 @@ func TestFastPathContentChangeNotSkipped(t *testing.T) {
 				{Name: "buf", Size: 8 << 20},
 			},
 			Phases: []workloads.Phase{
-				{Name: "sweep", Kind: phase.Compute, Flops: 10e6,
-					Refs: func(iter int) []phase.Ref {
-						return []phase.Ref{{Object: hotAt(iter), Accesses: 1e6, ReadFrac: 1, Pattern: machine.PointerChase}}
-					}},
+				{Name: "sweep", Kind: phase.Compute, Flops: 10e6, Epochs: epochs},
 				{Name: "exchange", Kind: phase.Comm, Comm: workloads.CommHalo, CommBytes: 256 << 10,
 					CommSchedule: sched,
-					Refs: func(int) []phase.Ref {
-						return []phase.Ref{{Object: "buf", Accesses: 2e4, ReadFrac: 0.5, Pattern: machine.Stream}}
-					}},
+					Epochs:       workloads.Static(phase.Ref{Object: "buf", Accesses: 2e4, ReadFrac: 0.5, Pattern: machine.Stream})},
 			},
 		}
 	}
-	always := func(obj string) func(int) string { return func(int) string { return obj } }
 	cases := []*workloads.Workload{
-		build("refs-change", func(iter int) string {
-			if iter >= k {
-				return "cold"
-			}
-			return "hot"
-		}, nil),
-		build("schedule-change", always("hot"), []workloads.ScaleWindow{{From: k, Scale: 8}}),
+		build("refs-change", []workloads.RefEpoch{{From: 0, Refs: sweep("hot")}, {From: k, Refs: sweep("cold")}}, nil),
+		build("schedule-change", workloads.Static(sweep("hot")...), []workloads.ScaleWindow{{From: k, Scale: 8}}),
 	}
 	// DRAM holds one of the two large latency-bound objects, so the switch
 	// from hot to cold moves traffic onto the slow tier.

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -81,7 +82,7 @@ func TestDriftArchetypesActuallyDrift(t *testing.T) {
 		for i := range w.Phases {
 			base := w.Phases[i].Refs(0)
 			for iter := 1; iter < w.Iterations && !varies; iter++ {
-				varies = !refsEqual(base, w.Phases[i].Refs(iter))
+				varies = !slices.Equal(base, w.Phases[i].Refs(iter))
 			}
 		}
 		if varies != a.IsDrift() {
@@ -93,7 +94,7 @@ func TestDriftArchetypesActuallyDrift(t *testing.T) {
 			for i := range w.Phases {
 				base := w.Phases[i].Refs(0)
 				for iter := 1; iter < 12 && !early; iter++ {
-					early = !refsEqual(base, w.Phases[i].Refs(iter))
+					early = !slices.Equal(base, w.Phases[i].Refs(iter))
 				}
 			}
 			if !early {

@@ -6,12 +6,12 @@
 // imbalance, bursty communication).
 //
 // The schema round-trips every built-in workload exactly: FromWorkload
-// samples a workload's ground-truth traffic across its iterations and
-// Compile reconstructs it, so Save -> Load -> Run is byte-identical to
-// running the original. Workloads can therefore be authored, stored,
-// mutated and exchanged as files without touching Go, and the experiment
-// layer's run cache keys on a content digest of the spec (Workload.
-// SpecDigest) so same-named scenarios never collide.
+// writes out each phase's traffic epochs and Compile reconstructs them,
+// so Save -> Load -> Run is byte-identical to running the original.
+// Workloads can therefore be authored, stored, mutated and exchanged as
+// files without touching Go, and the experiment layer's run cache keys on
+// a content digest of the spec (Workload.SpecDigest) so same-named
+// scenarios never collide.
 //
 // Two mechanisms express iteration-varying traffic, and they compose:
 //
@@ -20,8 +20,11 @@
 //     read/write mix — the generator's vocabulary for drift.
 //   - Phase epochs (PhaseSpec.Epochs): explicit full reference lists per
 //     iteration window — the exact-capture vocabulary FromWorkload uses
-//     for workloads whose traffic is an arbitrary Go function (Nek5000's
-//     rotating Krylov sets).
+//     for phases with more than one traffic epoch (Nek5000's rotating
+//     Krylov sets).
+//
+// Compile turns both into workloads.Phase epoch lists, evaluating each
+// phase once per change point rather than once per iteration.
 //
 // Communication burstiness (PhaseSpec.CommSchedule) and rank imbalance
 // (PhaseSpec.RankSkew) map onto the execution harness extensions in
@@ -34,6 +37,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"slices"
 
 	"unimem/internal/machine"
 	"unimem/internal/phase"
@@ -425,9 +429,11 @@ func (p *PhaseSpec) refsAt(iter int) []phase.Ref {
 	return out
 }
 
-// Compile materializes the spec into an executable workload. Per-iteration
-// reference lists are precomputed for the spec's iteration range (iterations
-// beyond it reuse the last list), so the hot Refs path is a slice lookup.
+// Compile materializes the spec into an executable workload. Each phase's
+// reference list can change only where some epoch or schedule window
+// starts or ends, so Compile evaluates it once per such change point in
+// [0, Iterations) and merges equal neighbours into the phase's epoch list;
+// iterations beyond the spec's range reuse the last list.
 func (s *Spec) Compile() (*workloads.Workload, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -461,9 +467,9 @@ func (s *Spec) Compile() (*workloads.Workload, error) {
 		if comm != workloads.CommNone {
 			kind = phase.Comm
 		}
-		table := make([][]phase.Ref, s.Iterations)
-		for iter := 0; iter < s.Iterations; iter++ {
-			table[iter] = p.refsAt(iter)
+		var epochs []workloads.RefEpoch
+		for _, at := range p.changePoints(s.Iterations) {
+			epochs = workloads.AppendEpoch(epochs, at, p.refsAt(at))
 		}
 		w.Phases = append(w.Phases, workloads.Phase{
 			Name:         p.Name,
@@ -473,22 +479,28 @@ func (s *Spec) Compile() (*workloads.Workload, error) {
 			CommSchedule: append([]workloads.ScaleWindow(nil), p.CommSchedule...),
 			Flops:        p.Flops,
 			RankSkew:     p.RankSkew,
-			Refs: func(iter int) []phase.Ref {
-				if iter < 0 {
-					iter = 0
-				}
-				if iter >= len(table) {
-					iter = len(table) - 1
-				}
-				return table[iter]
-			},
+			Epochs:       epochs,
 		})
 	}
-	// The per-iteration content is fully materialized above, so the
-	// change-point declaration the fast path consumes is one compile-time
-	// pass instead of a per-run derivation.
-	w.ContentEpochs = w.ComputeContentEpochs()
 	return w, nil
+}
+
+// changePoints returns, sorted and distinct, the iterations in [0, iters)
+// at which the phase's reference list may change: 0 and every epoch and
+// reference-window bound (an open end, To = 0, adds nothing new).
+func (p *PhaseSpec) changePoints(iters int) []int {
+	pts := []int{0}
+	for _, ep := range p.Epochs {
+		pts = append(pts, ep.From, ep.To)
+	}
+	for _, r := range p.Refs {
+		for _, rw := range r.Schedule {
+			pts = append(pts, rw.From, rw.To)
+		}
+	}
+	pts = slices.DeleteFunc(pts, func(at int) bool { return at >= iters })
+	slices.Sort(pts)
+	return slices.Compact(pts)
 }
 
 // refSpec captures a materialized reference back into the schema.
@@ -501,25 +513,12 @@ func refSpec(r phase.Ref) RefSpec {
 	}
 }
 
-// refsEqual compares two reference lists by value, order included.
-func refsEqual(a, b []phase.Ref) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// FromWorkload captures a workload into the declarative schema by sampling
-// its ground-truth traffic across every iteration. Iteration-invariant
-// phases become plain reference lists; iteration-varying phases (arbitrary
-// Go functions, like Nek5000's rotating Krylov sets) become epochs of
-// consecutive identical lists, preserving per-iteration reference order —
-// which is what makes the round trip byte-identical under simulation.
+// FromWorkload captures a workload into the declarative schema. A phase
+// with one traffic epoch becomes a plain reference list; a phase with
+// several (like Nek5000's rotating Krylov sets) becomes one schema epoch
+// per stretch that starts inside the run, each reaching to the next and
+// the last open-ended, preserving reference order — which is what makes
+// the round trip byte-identical under simulation.
 func FromWorkload(w *workloads.Workload) (*Spec, error) {
 	if w.Iterations <= 0 {
 		return nil, fmt.Errorf("scenario: workload %q: iterations must be positive, got %d", w.Name, w.Iterations)
@@ -549,11 +548,6 @@ func FromWorkload(w *workloads.Workload) (*Spec, error) {
 			Flops:        ph.Flops,
 			RankSkew:     ph.RankSkew,
 		}
-		base := ph.Refs(0)
-		varying := false
-		for iter := 1; iter < w.Iterations && !varying; iter++ {
-			varying = !refsEqual(base, ph.Refs(iter))
-		}
 		toSpecs := func(refs []phase.Ref) []RefSpec {
 			out := make([]RefSpec, 0, len(refs))
 			for _, r := range refs {
@@ -561,25 +555,19 @@ func FromWorkload(w *workloads.Workload) (*Spec, error) {
 			}
 			return out
 		}
-		if !varying {
-			ps.Refs = toSpecs(base)
+		n := 0
+		for n < len(ph.Epochs) && ph.Epochs[n].From < w.Iterations {
+			n++
+		}
+		if n <= 1 {
+			ps.Refs = toSpecs(ph.Refs(0))
 		} else {
-			// Group consecutive identical lists into epochs.
-			start, cur := 0, base
-			for iter := 1; iter <= w.Iterations; iter++ {
-				var next []phase.Ref
-				if iter < w.Iterations {
-					next = ph.Refs(iter)
-					if refsEqual(cur, next) {
-						continue
-					}
+			for k, e := range ph.Epochs[:n] {
+				to := 0 // open-ended: until the end of the run
+				if k+1 < n {
+					to = ph.Epochs[k+1].From
 				}
-				to := iter
-				if iter == w.Iterations {
-					to = 0 // open-ended: until the end of the run
-				}
-				ps.Epochs = append(ps.Epochs, EpochSpec{From: start, To: to, Refs: toSpecs(cur)})
-				start, cur = iter, next
+				ps.Epochs = append(ps.Epochs, EpochSpec{From: e.From, To: to, Refs: toSpecs(e.Refs)})
 			}
 		}
 		s.Phases = append(s.Phases, ps)

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -60,7 +61,7 @@ func TestRoundTripRefsExact(t *testing.T) {
 				t.Errorf("%s phase %d: descriptor mismatch", w.Name, i)
 			}
 			for iter := 0; iter < w.Iterations; iter++ {
-				if !refsEqual(a.Refs(iter), b.Refs(iter)) {
+				if !slices.Equal(a.Refs(iter), b.Refs(iter)) {
 					t.Fatalf("%s phase %s iter %d: refs mismatch\n got %v\nwant %v",
 						w.Name, a.Name, iter, b.Refs(iter), a.Refs(iter))
 				}

@@ -137,11 +137,11 @@ func ref(name string, acc int64, writeFrac float64, p machine.Pattern) phase.Ref
 // per-pair, for all-to-all) message size in KiB at baseline scale; flopsM
 // the per-rank compute in millions of flops at baseline scale.
 func (b *builder) phase(name string, comm CommKind, commKB, flopsM float64, refs ...phase.Ref) {
-	b.phaseFn(name, comm, commKB, flopsM, staticRefs(refs))
+	b.phaseEpochs(name, comm, commKB, flopsM, Static(refs...))
 }
 
-// phaseFn appends a phase whose traffic may vary with the iteration.
-func (b *builder) phaseFn(name string, comm CommKind, commKB, flopsM float64, fn func(iter int) []phase.Ref) {
+// phaseEpochs appends a phase whose traffic may vary with the iteration.
+func (b *builder) phaseEpochs(name string, comm CommKind, commKB, flopsM float64, epochs []RefEpoch) {
 	kind := phase.Compute
 	if comm != CommNone {
 		kind = phase.Comm
@@ -152,7 +152,7 @@ func (b *builder) phaseFn(name string, comm CommKind, commKB, flopsM float64, fn
 		Comm:      comm,
 		CommBytes: int64(commKB * 1024 * b.scale),
 		Flops:     flopsM * 1e6 * b.scale,
-		Refs:      fn,
+		Epochs:    epochs,
 	})
 }
 

@@ -55,42 +55,47 @@ func NewNek5000(class string, ranks int) *Workload {
 		b.obj(n, 4, false)
 	}
 
-	// hotWork returns the 4 work arrays the solvers lean on during the
-	// given iteration: the set rotates every driftPeriod iterations as the
-	// eddy field evolves and different Krylov spaces dominate.
-	hotWork := func(iter int) []string {
-		base := (iter / driftPeriod) * 3 % len(work)
-		out := make([]string, 4)
-		for i := range out {
-			out[i] = work[(base+i)%len(work)]
+	// drifting declares a phase's traffic one epoch per drift period:
+	// refs receives the 4 work arrays the solvers lean on during the
+	// period. The set rotates every driftPeriod iterations as the eddy
+	// field evolves and different Krylov spaces dominate.
+	drifting := func(refs func(hot []string) []phase.Ref) []RefEpoch {
+		var es []RefEpoch
+		for from := 0; from < b.w.Iterations; from += driftPeriod {
+			base := (from / driftPeriod) * 3 % len(work)
+			hot := make([]string, 4)
+			for i := range hot {
+				hot[i] = work[(base+i)%len(work)]
+			}
+			es = AppendEpoch(es, from, refs(hot))
 		}
-		return out
+		return es
 	}
 
 	b.phase("advect", CommNone, 0, 60,
 		b.rt("vx", 2, 0.3), b.rt("vy", 2, 0.3), b.rt("vz", 2, 0.3),
 		b.rt("t", 1, 0.5), b.rs("jacm1", 1, 0), b.rs("rxm1", 1, 0))
-	b.phaseFn("pressure_solve", CommNone, 0, 90, func(iter int) []phase.Ref {
+	b.phaseEpochs("pressure_solve", CommNone, 0, 90, drifting(func(hot []string) []phase.Ref {
 		refs := []phase.Ref{
 			b.rr("pr", 1.6, 0.5),
 			b.rs("v1mask", 1, 0), b.rs("v2mask", 1, 0),
 		}
-		for _, wname := range hotWork(iter) {
+		for _, wname := range hot {
 			refs = append(refs, b.rr(wname, 1.8, 0.5))
 		}
 		return refs
-	})
+	}))
 	b.phase("pressure_glsum", CommAllreduce, 0.032, 4, b.rs("pr", 1, 0))
-	b.phaseFn("viscous_solve", CommNone, 0, 80, func(iter int) []phase.Ref {
+	b.phaseEpochs("viscous_solve", CommNone, 0, 80, drifting(func(hot []string) []phase.Ref {
 		refs := []phase.Ref{
 			b.rt("vx", 1, 0.5), b.rt("vy", 1, 0.5), b.rt("vz", 1, 0.5),
 			b.rs("v3mask", 1, 0), b.rs("tmask", 1, 0),
 		}
-		for _, wname := range hotWork(iter) {
+		for _, wname := range hot {
 			refs = append(refs, b.rr(wname, 1.2, 0.5))
 		}
 		return refs
-	})
+	}))
 	b.phase("dssum", CommHalo, 768, 8,
 		b.rs("xm1", 0.5, 0), b.rs("ym1", 0.5, 0), b.rs("zm1", 0.5, 0))
 	b.phase("geom_update", CommNone, 0, 30,

@@ -13,6 +13,7 @@
 package workloads
 
 import (
+	"cmp"
 	"slices"
 
 	"unimem/internal/machine"
@@ -112,10 +113,52 @@ type Phase struct {
 	// 1+RankSkew/2 (last rank), mean 1 across the world. 0 is balanced;
 	// valid range is [0, 2).
 	RankSkew float64
-	// Refs returns the per-rank ground-truth main-memory traffic for
-	// the given iteration. Most workloads are iteration-invariant;
-	// Nek5000's pattern drift uses iter.
-	Refs func(iter int) []phase.Ref
+	// Epochs is the phase's per-rank ground-truth main-memory traffic as
+	// a change-point list: sorted by From, the first at 0, no two
+	// neighbours with equal Refs (AppendEpoch keeps that form). Most
+	// workloads hold one entry; Nek5000's pattern drift holds one per
+	// drift period. No epochs means no traffic.
+	Epochs []RefEpoch
+}
+
+// RefEpoch is one stable stretch of a phase's traffic: from iteration
+// From until the next epoch's From (or the end of the run), the phase
+// presents Refs every iteration.
+type RefEpoch struct {
+	From int
+	Refs []phase.Ref
+}
+
+// Static returns the epoch list of an iteration-invariant phase.
+func Static(refs ...phase.Ref) []RefEpoch {
+	return []RefEpoch{{From: 0, Refs: refs}}
+}
+
+// AppendEpoch appends the stretch starting at from (past the last
+// epoch's From) to es, or returns es unchanged when refs equal the last
+// stretch's, so equal neighbours merge. It stores a copy of refs, so the
+// caller may reuse its buffer.
+func AppendEpoch(es []RefEpoch, from int, refs []phase.Ref) []RefEpoch {
+	if n := len(es); n > 0 && slices.Equal(es[n-1].Refs, refs) {
+		return es
+	}
+	return append(es, RefEpoch{From: from, Refs: slices.Clone(refs)})
+}
+
+// Refs returns the phase's reference list for the given iteration: the
+// list of the last epoch starting at or before it (the first epoch's for
+// negative iterations). The result is shared; callers must not modify it.
+func (p *Phase) Refs(iter int) []phase.Ref {
+	if len(p.Epochs) == 0 {
+		return nil
+	}
+	i, found := slices.BinarySearchFunc(p.Epochs, iter, func(e RefEpoch, it int) int {
+		return cmp.Compare(e.From, it)
+	})
+	if !found && i > 0 {
+		i--
+	}
+	return p.Epochs[i].Refs
 }
 
 // CommBytesAt returns the phase's communication volume for the given
@@ -156,46 +199,35 @@ type Workload struct {
 	// experiment run cache keys on it, so two scenarios that share a name
 	// but differ anywhere in their spec never share cached results.
 	SpecDigest string
-	// ContentEpochs optionally declares, in increasing order, every
-	// iteration at which any phase's rank-independent content (scheduled
-	// communication volume or ground-truth reference list) differs from
-	// the previous iteration's. A non-nil slice (possibly empty: fully
-	// stationary) is an exhaustive declaration — two iterations with no
-	// epoch in (i, j] present identical content — so the fast path bounds
-	// each window with one binary search. nil means unknown: the harness
-	// derives the epochs with ComputeContentEpochs once per run. Scenario
-	// compilation, which materializes per-iteration content anyway,
-	// declares them at compile time instead.
-	ContentEpochs []int
 }
 
-// ComputeContentEpochs derives the workload's content epochs (see
-// ContentEpochs) by comparing every phase's scheduled communication
-// volume and reference list with the previous iteration's. Kind, MPI
-// operation, flops and skew are fixed per phase, so they never start an
-// epoch. Reference lists are copied before comparison, so a Refs function
-// may reuse its result buffer. It does not modify w.
-func (w *Workload) ComputeContentEpochs() []int {
-	epochs := []int{}
-	prev := make([][]phase.Ref, len(w.Phases))
-	var cur []phase.Ref
-	for iter := 0; iter < w.Iterations; iter++ {
-		changed := false
-		for pi := range w.Phases {
-			p := &w.Phases[pi]
-			cur = cur[:0]
-			if p.Refs != nil {
-				cur = append(cur, p.Refs(iter)...)
+// ContentEpochs returns, in increasing order, every iteration in
+// [1, Iterations) at which some phase's rank-independent content — its
+// reference list or scheduled communication volume — differs from the
+// previous iteration's: the phases' epoch starts plus the CommSchedule
+// edges where CommBytesAt changes. Kind, MPI operation, flops and skew
+// are fixed per phase, so they never start an epoch. Two iterations with
+// no content epoch in (i, j] present identical content, so the fast path
+// bounds each stable window with one binary search.
+func (w *Workload) ContentEpochs() []int {
+	var out []int
+	for pi := range w.Phases {
+		p := &w.Phases[pi]
+		for _, e := range p.Epochs {
+			if e.From > 0 && e.From < w.Iterations {
+				out = append(out, e.From)
 			}
-			changed = changed || iter > 0 &&
-				(p.CommBytesAt(iter) != p.CommBytesAt(iter-1) || !slices.Equal(cur, prev[pi]))
-			prev[pi], cur = cur, prev[pi]
 		}
-		if changed {
-			epochs = append(epochs, iter)
+		for _, sw := range p.CommSchedule {
+			for _, at := range [2]int{sw.From, sw.To} {
+				if at > 0 && at < w.Iterations && p.CommBytesAt(at) != p.CommBytesAt(at-1) {
+					out = append(out, at)
+				}
+			}
 		}
 	}
-	return epochs
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Object returns the spec with the given name, or nil.
@@ -215,11 +247,6 @@ func (w *Workload) TotalObjectBytes() int64 {
 		n += o.Size
 	}
 	return n
-}
-
-// staticRefs wraps an iteration-invariant ref list.
-func staticRefs(refs []phase.Ref) func(int) []phase.Ref {
-	return func(int) []phase.Ref { return refs }
 }
 
 // MiB converts mebibytes to bytes.

@@ -277,9 +277,9 @@ func LoadWorkload(path string) (*Workload, error) {
 }
 
 // SaveWorkload captures a workload — built-in or hand-assembled — into
-// the declarative schema and writes it as JSON. The capture samples the
-// workload's ground-truth traffic across every iteration, so
-// Save -> Load -> Run is byte-identical to running the original.
+// the declarative schema and writes it as JSON. The capture writes out
+// each phase's traffic epochs as they are, so Save -> Load -> Run is
+// byte-identical to running the original.
 func SaveWorkload(w *Workload, path string) error {
 	spec, err := scenario.FromWorkload(w)
 	if err != nil {

@@ -107,6 +107,62 @@ func TestBuilderValidation(t *testing.T) {
 	}
 }
 
+// TestComputePhaseFnEpochs: Build evaluates a drifting phase's closure
+// once per iteration and keeps one epoch per stretch of equal lists, so
+// the closure may reuse its buffer; a reference to an unknown object at
+// any iteration, not just the first, is rejected.
+func TestComputePhaseFnEpochs(t *testing.T) {
+	const iters = 12
+	buf := make([]unimem.Ref, 1)
+	want := func(iter int) []unimem.Ref {
+		obj := "a"
+		if iter >= 5 && iter < 9 {
+			obj = "b"
+		}
+		buf[0] = unimem.Stream(obj, 1000, 0.5)
+		return buf
+	}
+	calls := 0
+	app := unimem.NewApp("drift", 1, iters)
+	app.Object("a", 1<<20)
+	app.Object("b", 1<<20)
+	app.ComputePhaseFn("p", 1e6, func(iter int) []unimem.Ref {
+		calls++
+		return want(iter)
+	})
+	w := app.Build()
+	if calls != iters {
+		t.Errorf("closure called %d times, want once per iteration (%d)", calls, iters)
+	}
+	ph := &w.Phases[0]
+	if len(ph.Epochs) != 3 {
+		t.Errorf("%d epochs, want 3 (a, b, a)", len(ph.Epochs))
+	}
+	for iter := 0; iter < iters; iter++ {
+		if got, exp := ph.Refs(iter), want(iter); len(got) != 1 || got[0] != exp[0] {
+			t.Errorf("Refs(%d) = %v, want %v", iter, got, exp)
+		}
+	}
+	if got := w.ContentEpochs(); len(got) != 2 || got[0] != 5 || got[1] != 9 {
+		t.Errorf("ContentEpochs() = %v, want [5 9]", got)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("a late reference to an unknown object was accepted")
+		}
+	}()
+	bad := unimem.NewApp("late-ghost", 1, iters)
+	bad.Object("a", 1<<20)
+	bad.ComputePhaseFn("p", 1e6, func(iter int) []unimem.Ref {
+		if iter == iters-1 {
+			return []unimem.Ref{unimem.Stream("ghost", 1, 0)}
+		}
+		return []unimem.Ref{unimem.Stream("a", 1, 0)}
+	})
+	bad.Build()
+}
+
 // TestRunTieredEndToEnd drives the public N-tier API: a Unimem run on the
 // three-tier platform must produce a multiple-choice-knapsack plan, beat
 // slowest-only, and Outcome.Tiered must report per-tier usage consistent
